@@ -1,7 +1,7 @@
 // bench_dominance_kernel — microbenchmark of the data-oriented Pareto
 // kernel (pareto/kernel.h) against the scalar layout it replaced.
 //
-// Three workloads, each at cell sizes {16, 256, 4096} x dims {2, 3}:
+// Two workloads, each at cell sizes {16, 256, 4096} x dims {2, 3}:
 //
 //   filter   mask every entry of a cell against query bounds
 //            (boundary-cell filtering in Collect/Drain/ForEachInRange):
@@ -10,11 +10,9 @@
 //   probe    first-dominator search with early exit (pruning's
 //            "∃ pA ⪯ α·c(p)" range probe): scalar = early-exit Dominates
 //            loop; kernel = FindDominating blocked scan.
-//   insert   Pareto-frontier maintenance: scalar = the frozen pre-kernel
-//            ParetoFrontier::Insert; kernel = FrontierBank::BatchInsert.
 //
 // Throughput is reported in million entry-comparisons per second
-// (filter/probe) and million inserts per second (insert), plus the
+// (filter) and million probes per second (probe), plus the
 // kernel/scalar speedup. Output: a table on stdout and BENCH_kernel.json
 // in the working directory so the perf trajectory is tracked across PRs.
 //
@@ -26,12 +24,10 @@
 //                                             smoke step, Release matrix)
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "cost/cost_vector.h"
-#include "pareto/frontier.h"
 #include "pareto/kernel.h"
 #include "util/rng.h"
 
@@ -43,33 +39,6 @@ double NowMs() {
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
 }
-
-// The frozen pre-kernel scalar frontier (also the reference in
-// tests/kernel_test.cc); array-of-structs, per-entry checked compares.
-struct ScalarFrontier {
-  struct Entry {
-    CostVector cost;
-    uint64_t payload = 0;
-  };
-  std::vector<Entry> entries;
-
-  bool Insert(const CostVector& cost, uint64_t payload) {
-    for (const Entry& e : entries) {
-      if (e.cost.StrictlyDominates(cost)) return false;
-      if (e.cost.Equals(cost)) return false;
-    }
-    for (size_t i = 0; i < entries.size();) {
-      if (cost.StrictlyDominates(entries[i].cost)) {
-        entries[i] = entries.back();
-        entries.pop_back();
-      } else {
-        ++i;
-      }
-    }
-    entries.push_back({cost, payload});
-    return true;
-  }
-};
 
 CostVector RandomCost(Rng& rng, int dims) {
   CostVector c(dims);
@@ -246,45 +215,11 @@ Result BenchProbe(const Workload& w) {
           kernel_mps};
 }
 
-Result BenchInsert(int cell_size, int dims, uint64_t seed) {
-  // Pre-generate an insert stream sized to keep the frontier churning.
-  Rng rng(seed);
-  std::vector<CostVector> stream;
-  for (int i = 0; i < cell_size; ++i) stream.push_back(RandomCost(rng, dims));
-  uint64_t sink = 0;
-  long reps = 0;
-  const double scalar_ms = MeasureMs(
-      [&](long) {
-        ScalarFrontier f;
-        for (size_t i = 0; i < stream.size(); ++i) {
-          sink += f.Insert(stream[i], i);
-        }
-      },
-      &reps);
-  const double scalar_mps = static_cast<double>(reps) *
-                            static_cast<double>(stream.size()) / scalar_ms /
-                            1e3;
-  const double kernel_ms = MeasureMs(
-      [&](long) {
-        FrontierBank f(dims);
-        for (size_t i = 0; i < stream.size(); ++i) {
-          sink += f.BatchInsert(stream[i].data(), i);
-        }
-      },
-      &reps);
-  const double kernel_mps = static_cast<double>(reps) *
-                            static_cast<double>(stream.size()) / kernel_ms /
-                            1e3;
-  if (sink == 0xDEAD) std::printf("#");
-  return {"insert", cell_size, dims, scalar_mps, kernel_mps};
-}
-
 // --verify: scalar-vs-kernel bit-identity cross-check (the CI smoke).
 // Returns the number of mismatches.
 int Verify() {
   int failures = 0;
   Rng rng(20260808);
-  // Masks and probes against linear scans.
   for (int trial = 0; trial < 500; ++trial) {
     const int dims = 2 + trial % 3;
     const int n = 1 + static_cast<int>(rng.Uniform(512));
@@ -306,53 +241,6 @@ int Verify() {
       }
       if (FindDominating(w.bank, b.data()) != expect_first) {
         std::fprintf(stderr, "FindDominating mismatch trial %d\n", trial);
-        ++failures;
-      }
-    }
-  }
-  // Frontier decisions and final layout, bit for bit.
-  for (int trial = 0; trial < 500; ++trial) {
-    const int dims = 2 + trial % 3;
-    Rng local(777 + static_cast<uint64_t>(trial));
-    ScalarFrontier ref;
-    FrontierBank fb(dims);
-    ParetoFrontier pf;
-    for (int i = 0; i < 64; ++i) {
-      CostVector c(dims);
-      for (int d = 0; d < dims; ++d) {
-        c[d] = 0.5 * static_cast<double>(local.UniformInt(0, 7));
-      }
-      const bool r0 = ref.Insert(c, static_cast<uint64_t>(i));
-      const bool r1 = fb.BatchInsert(c.data(), static_cast<uint64_t>(i));
-      const bool r2 = pf.Insert(c, static_cast<uint64_t>(i));
-      if (r0 != r1 || r0 != r2) {
-        std::fprintf(stderr, "insert decision mismatch trial %d step %d\n",
-                     trial, i);
-        ++failures;
-      }
-    }
-    if (ref.entries.size() != fb.size() ||
-        ref.entries.size() != pf.size()) {
-      std::fprintf(stderr, "frontier size mismatch trial %d\n", trial);
-      ++failures;
-      continue;
-    }
-    for (size_t i = 0; i < ref.entries.size(); ++i) {
-      bool same = ref.entries[i].payload == fb.payloads[i] &&
-                  ref.entries[i].payload == pf.entries()[i].payload;
-      for (int d = 0; d < dims && same; ++d) {
-        uint64_t a, b, c2;
-        const double da = ref.entries[i].cost.at(d);
-        const double db = fb.costs.At(i, d);
-        const double dc = pf.entries()[i].cost.at(d);
-        std::memcpy(&a, &da, 8);
-        std::memcpy(&b, &db, 8);
-        std::memcpy(&c2, &dc, 8);
-        same = a == b && a == c2;
-      }
-      if (!same) {
-        std::fprintf(stderr, "frontier layout mismatch trial %d entry %zu\n",
-                     trial, i);
         ++failures;
       }
     }
@@ -380,7 +268,7 @@ int Main(int argc, char** argv) {
     for (int cell : {16, 256, 4096}) {
       const Workload w(cell, dims, static_cast<uint64_t>(cell) * 31 + dims);
       for (const Result& r :
-           {BenchFilter(w), BenchProbe(w), BenchInsert(cell, dims, 7)}) {
+           {BenchFilter(w), BenchProbe(w)}) {
         results.push_back(r);
         std::printf("%-8s %10d %6d %14.1f %14.1f %9.2fx\n", r.workload,
                     r.cell_size, r.dims, r.scalar_mps, r.kernel_mps,
@@ -396,7 +284,7 @@ int Main(int argc, char** argv) {
     std::fprintf(f, "{\n  \"bench\": \"dominance_kernel\",\n");
     std::fprintf(f,
                  "  \"unit\": \"million ops/sec (filter: entries, probe: "
-                 "probes, insert: inserts)\",\n");
+                 "probes)\",\n");
     std::fprintf(f, "  \"configs\": [\n");
     for (size_t i = 0; i < results.size(); ++i) {
       const Result& r = results[i];

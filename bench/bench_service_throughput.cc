@@ -152,14 +152,17 @@ ConfigResult RunConfig(const Catalog& catalog,
   service_options.operator_options = ServiceBenchOperatorOptions();
   OptimizerService service(catalog, service_options);
 
-  SubmitOptions submit;
+  SubmitRequest submit;
   submit.iama.schedule = ResolutionSchedule::Moderate(levels);
 
   if (warm) {
     for (const Query& query : workload) {
-      const StatusOr<QueryId> id = service.Submit(query, submit);
-      MOQO_CHECK(id.ok());
-      const QueryResult r = service.Wait(id.value());
+      SubmitRequest request = submit;
+      request.query = query;
+      const StatusOr<SubmitResponse> admitted =
+          service.Submit(std::move(request));
+      MOQO_CHECK(admitted.ok());
+      const QueryResult r = service.Wait(admitted.value().id);
       MOQO_CHECK(r.state == QueryState::kDone);
     }
     // A completed run's publish lands on its shard thread shortly
@@ -197,15 +200,18 @@ ConfigResult RunConfig(const Catalog& catalog,
       auto ttff = std::make_shared<std::atomic<double>>(-1.0);
       auto first = std::make_shared<std::atomic<bool>>(false);
       const Clock::time_point submitted = Clock::now();
-      StatusOr<QueryId> id = service.Submit(
-          workload[i], submit,
-          [ttff, first, submitted](QueryId, const FrontierSnapshot&) {
-            if (!first->exchange(true)) {
-              ttff->store(MillisSince(submitted));
-            }
-          });
-      MOQO_CHECK(id.ok());
-      wave.push_back({id.value(), ttff});
+      SubmitRequest request = submit;
+      request.query = workload[i];
+      request.observer = [ttff, first, submitted](QueryId,
+                                                  const FrontierSnapshot&) {
+        if (!first->exchange(true)) {
+          ttff->store(MillisSince(submitted));
+        }
+      };
+      const StatusOr<SubmitResponse> admitted =
+          service.Submit(std::move(request));
+      MOQO_CHECK(admitted.ok());
+      wave.push_back({admitted.value().id, ttff});
     }
     for (const Track& t : wave) {
       const QueryResult r = service.Wait(t.id);
@@ -382,12 +388,15 @@ int main(int argc, char** argv) {
     prepass_options.fragment_store_path = store_path;
     prepass_options.operator_options = ServiceBenchOperatorOptions();
     OptimizerService prepass(catalog, prepass_options);
-    SubmitOptions submit;
-    submit.iama.schedule = ResolutionSchedule::Moderate(levels);
     for (const Query& query : workload) {
-      const StatusOr<QueryId> id = prepass.Submit(query, submit);
-      MOQO_CHECK(id.ok());
-      MOQO_CHECK(prepass.Wait(id.value()).state == QueryState::kDone);
+      SubmitRequest request;
+      request.query = query;
+      request.iama.schedule = ResolutionSchedule::Moderate(levels);
+      const StatusOr<SubmitResponse> admitted =
+          prepass.Submit(std::move(request));
+      MOQO_CHECK(admitted.ok());
+      MOQO_CHECK(prepass.Wait(admitted.value().id).state ==
+                 QueryState::kDone);
     }
     // Destruction flushes the write-behind queue into the log.
   }

@@ -10,7 +10,7 @@
 //                      [--quota TENANT=MAX[:WEIGHT]] [--default-quota MAX[:WEIGHT]]
 //                      [--max-connections N] [--fragment-cache-mb M]
 //                      [--store-path FILE] [--store-budget-mb M]
-//                      [--fsync MODE] [--workers N] [--dist-min-tables K]
+//                      [--fsync MODE]
 //
 //   --port P           TCP port; 0 (default) picks an ephemeral port
 //   --host H           bind address (default 127.0.0.1)
@@ -41,15 +41,9 @@
 //                      pages survive process death regardless), interval
 //                      (msync on a periodic tick of the write-behind
 //                      thread), always (msync every append)
-//   --workers N        fork N optimizer worker processes and route large
-//                      queries' phase-2 enumeration across them
-//                      (docs/DISTRIBUTED.md). Prints one
-//                      "optimizerd: workers PID..." line before
-//                      "listening" (crash drills parse it). Results stay
-//                      bit-identical to single-process runs — including
-//                      when a worker is SIGKILLed mid-query (0 = off)
-//   --dist-min-tables K  smallest query (tables) routed to the worker
-//                      tier; smaller ones run in-process (default 4)
+//
+// Numeric flags must be whole integers (decimals for --shed-hint-ms)
+// within their range; anything else names the flag and exits 2.
 //
 
 // Prints exactly one line "optimizerd: listening on HOST:PORT" once
@@ -59,14 +53,15 @@
 // clients, then the process exits 0 with a stats summary.
 #include <signal.h>
 
+#include <cerrno>
+#include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <string>
 
 #include "catalog/tpch.h"
-#include "dist/backend.h"
 #include "net/server.h"
 #include "service/optimizer_service.h"
 
@@ -74,14 +69,50 @@ using namespace moqo;
 
 namespace {
 
+// Parses all of `text` as a base-10 integer in [lo, hi]; anything else
+// (empty, trailing bytes, out of range) names `flag` and exits 2.
+long long ParseInt(const std::string& flag, const std::string& text,
+                   long long lo, long long hi) {
+  errno = 0;
+  char* end = nullptr;
+  const long long v = std::strtoll(text.c_str(), &end, 10);
+  if (text.empty() || errno != 0 || *end != '\0' || v < lo || v > hi) {
+    std::fprintf(stderr, "%s wants an integer in [%lld, %lld], got '%s'\n",
+                 flag.c_str(), lo, hi, text.c_str());
+    std::exit(2);
+  }
+  return v;
+}
+
+// Parses all of `text` as a finite number >= 0, or exits 2 like ParseInt.
+double ParseNonNegative(const std::string& flag, const std::string& text) {
+  errno = 0;
+  char* end = nullptr;
+  const double v = std::strtod(text.c_str(), &end);
+  if (text.empty() || errno != 0 || *end != '\0' || !std::isfinite(v) ||
+      v < 0.0) {
+    std::fprintf(stderr, "%s wants a number >= 0, got '%s'\n", flag.c_str(),
+                 text.c_str());
+    std::exit(2);
+  }
+  return v;
+}
+
 // Parses "MAX" or "MAX:WEIGHT" into a TenantQuota.
-TenantQuota ParseQuota(const char* spec) {
+TenantQuota ParseQuota(const std::string& flag, const std::string& spec) {
   TenantQuota q;
-  q.max_inflight = std::atoi(spec);
-  const char* colon = std::strchr(spec, ':');
-  if (colon != nullptr) q.weight = std::atoi(colon + 1);
+  const size_t colon = spec.find(':');
+  q.max_inflight =
+      static_cast<int>(ParseInt(flag, spec.substr(0, colon), 0, INT_MAX));
+  if (colon != std::string::npos) {
+    q.weight =
+        static_cast<int>(ParseInt(flag, spec.substr(colon + 1), 1, INT_MAX));
+  }
   return q;
 }
+
+// Megabyte budgets are shifted into bytes; 1 TiB keeps the shift exact.
+constexpr long long kMaxBudgetMb = 1LL << 20;
 
 }  // namespace
 
@@ -93,8 +124,6 @@ int main(int argc, char** argv) {
   service_options.max_iterations_limit = 100000;
   service_options.fragment_cache_bytes = 16u << 20;
   net::ServerOptions server_options;
-  int workers = 0;
-  int dist_min_tables = 4;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -106,20 +135,24 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--port") {
-      server_options.port = static_cast<uint16_t>(std::atoi(next()));
+      server_options.port =
+          static_cast<uint16_t>(ParseInt(arg, next(), 0, 65535));
     } else if (arg == "--host") {
       server_options.host = next();
     } else if (arg == "--threads") {
-      service_options.num_threads = std::atoi(next());
+      service_options.num_threads =
+          static_cast<int>(ParseInt(arg, next(), 1, 1024));
     } else if (arg == "--shards") {
-      service_options.num_shards = std::atoi(next());
+      service_options.num_shards =
+          static_cast<int>(ParseInt(arg, next(), 1, 1024));
     } else if (arg == "--max-inflight") {
       service_options.max_inflight_runs =
-          static_cast<size_t>(std::atoll(next()));
+          static_cast<size_t>(ParseInt(arg, next(), 0, LLONG_MAX));
     } else if (arg == "--max-iterations") {
-      service_options.max_iterations_limit = std::atoi(next());
+      service_options.max_iterations_limit =
+          static_cast<int>(ParseInt(arg, next(), 0, INT_MAX));
     } else if (arg == "--shed-hint-ms") {
-      service_options.shed_retry_hint_ms = std::atof(next());
+      service_options.shed_retry_hint_ms = ParseNonNegative(arg, next());
     } else if (arg == "--quota") {
       const char* spec = next();
       const char* eq = std::strchr(spec, '=');
@@ -128,19 +161,20 @@ int main(int argc, char** argv) {
         return 2;
       }
       service_options.tenant_quotas[std::string(spec, eq)] =
-          ParseQuota(eq + 1);
+          ParseQuota(arg, eq + 1);
     } else if (arg == "--default-quota") {
-      service_options.default_quota = ParseQuota(next());
+      service_options.default_quota = ParseQuota(arg, next());
     } else if (arg == "--max-connections") {
-      server_options.max_connections = static_cast<size_t>(std::atoll(next()));
+      server_options.max_connections =
+          static_cast<size_t>(ParseInt(arg, next(), 0, LLONG_MAX));
     } else if (arg == "--fragment-cache-mb") {
       service_options.fragment_cache_bytes =
-          static_cast<size_t>(std::atoll(next())) << 20;
+          static_cast<size_t>(ParseInt(arg, next(), 0, kMaxBudgetMb)) << 20;
     } else if (arg == "--store-path") {
       service_options.fragment_store_path = next();
     } else if (arg == "--store-budget-mb") {
       service_options.fragment_cold_budget_bytes =
-          static_cast<size_t>(std::atoll(next())) << 20;
+          static_cast<size_t>(ParseInt(arg, next(), 0, kMaxBudgetMb)) << 20;
     } else if (arg == "--fsync") {
       const std::string mode = next();
       if (mode == "none") {
@@ -153,10 +187,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "--fsync wants none|interval|always\n");
         return 2;
       }
-    } else if (arg == "--workers") {
-      workers = std::atoi(next());
-    } else if (arg == "--dist-min-tables") {
-      dist_min_tables = std::atoi(next());
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
       return 2;
@@ -173,30 +203,6 @@ int main(int argc, char** argv) {
   pthread_sigmask(SIG_BLOCK, &sigs, nullptr);
 
   Catalog catalog = MakeTpchCatalog();
-
-  // Fork the worker tier before the service spawns its threads (fork
-  // and threads don't mix) and declare it first so it outlives the
-  // service that routes runs into it. Children inherit the blocked
-  // signal mask, which is fine: they exit on socket EOF at teardown.
-  std::unique_ptr<dist::DistributedBackend> backend;
-  if (workers > 0) {
-    dist::BackendOptions dist_options;
-    dist_options.num_workers = static_cast<uint32_t>(workers);
-    dist_options.forked = true;
-    dist_options.worker.catalog = catalog.Snapshot();
-    dist_options.worker.schema = service_options.schema;
-    dist_options.worker.cost_params = service_options.cost_params;
-    dist_options.worker.operator_options = service_options.operator_options;
-    backend = std::make_unique<dist::DistributedBackend>(dist_options);
-    service_options.distributed_backend = backend.get();
-    service_options.distributed_min_tables = dist_min_tables;
-    std::printf("optimizerd: workers");
-    for (pid_t pid : backend->worker_pids()) {
-      std::printf(" %d", static_cast<int>(pid));
-    }
-    std::printf("\n");
-    std::fflush(stdout);
-  }
 
   OptimizerService service(catalog, service_options);
   if (!service_options.fragment_store_path.empty() &&
@@ -243,13 +249,6 @@ int main(int argc, char** argv) {
   }
 
   const ServiceStats stats = service.stats();
-  if (backend != nullptr) {
-    std::printf(
-        "optimizerd: dist runs %llu, rejected %llu, live workers %zu/%d\n",
-        static_cast<unsigned long long>(backend->runs_started()),
-        static_cast<unsigned long long>(backend->runs_rejected()),
-        backend->live_workers(), workers);
-  }
   if (!service_options.fragment_store_path.empty()) {
     std::printf(
         "optimizerd: store publishes %llu, cold hits %llu, promotions %llu, "

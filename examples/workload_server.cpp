@@ -189,7 +189,7 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(fs.replay_torn_bytes));
   }
 
-  SubmitOptions submit;
+  SubmitRequest submit;
   submit.iama.schedule = ResolutionSchedule::Moderate(5);
   submit.deadline_ms = deadline_ms;
 
@@ -223,18 +223,20 @@ int main(int argc, char** argv) {
       track->name = query.name;
       track->submitted = Clock::now();
       Track* t = track.get();
-      StatusOr<QueryId> id = service.Submit(
-          query, submit, [t](QueryId, const FrontierSnapshot&) {
-            if (!t->first_seen.exchange(true)) {
-              t->ttff_ms.store(MillisSince(t->submitted));
-            }
-          });
-      if (!id.ok()) {
+      SubmitRequest request = submit;
+      request.query = query;
+      request.observer = [t](QueryId, const FrontierSnapshot&) {
+        if (!t->first_seen.exchange(true)) {
+          t->ttff_ms.store(MillisSince(t->submitted));
+        }
+      };
+      StatusOr<SubmitResponse> admitted = service.Submit(std::move(request));
+      if (!admitted.ok()) {
         std::fprintf(stderr, "submit %s failed: %s\n", query.name.c_str(),
-                     id.status().ToString().c_str());
+                     admitted.status().ToString().c_str());
         continue;
       }
-      track->id = id.value();
+      track->id = admitted.value().id;
       tracks.push_back(std::move(track));
     }
     for (const auto& t : tracks) {

@@ -1,7 +1,6 @@
 #include "core/incremental_optimizer.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "core/pruning.h"
 
@@ -68,12 +67,6 @@ IncrementalOptimizer::IncrementalOptimizer(const PlanFactory& factory,
     owned_pool_ = std::make_unique<ThreadPool>(options_.num_threads);
     pool_ = owned_pool_.get();
   }
-  // A distributed exchange keeps replicas in lockstep; fragment seeding
-  // on one replica (or publishing from one) would silently break it.
-  MOQO_CHECK(options_.phase2_exchange == nullptr ||
-             (options_.fragment_store == nullptr &&
-              !options_.fragment_publish));
-  exchange_ = options_.phase2_exchange;
 
   const int n = factory_.NumTables();
   // Precompute the connected table subsets, grouped by size; the DP in
@@ -300,7 +293,7 @@ void IncrementalOptimizer::Optimize(const CostVector& bounds,
   // Bottom-up over connected table sets of increasing cardinality; for
   // each split into two combinable subsets, enumerate only sub-plan pairs
   // with at least one Δ member and an unseen (left, right) combination.
-  if (pool_ != nullptr || exchange_ != nullptr) {
+  if (pool_ != nullptr) {
     Phase2Partitioned(bounds, resolution);
   } else {
     Phase2Serial(bounds, resolution);
@@ -375,8 +368,7 @@ void IncrementalOptimizer::Phase2Serial(const CostVector& bounds,
   }
 }
 
-// Partitioned phase 2 (see OptimizerOptions::num_threads and
-// OptimizerOptions::phase2_exchange). Per level k:
+// Partitioned phase 2 (see OptimizerOptions::num_threads). Per level k:
 //   1. the main thread Collects every connected subset of size k-1 into a
 //      cache (sizes < k-1 are already cached: plans inserted at level j go
 //      only into size-j sets, so earlier collections stay valid for the
@@ -385,22 +377,13 @@ void IncrementalOptimizer::Phase2Serial(const CostVector& bounds,
 //      every connected proper subset of Q each invocation, since any such
 //      subset s forms the combinable split (s, {v}) of s ∪ {v} for some
 //      neighbor table v;
-//   2. the *owned* slice of the level's table sets is enumerated — across
-//      the pool when one is bound, serially otherwise. Enumeration probes
-//      CanCombine/IsFresh and buffers fresh pairs and their join
-//      alternatives into per-set CellDeltas (no shared writes). Without
-//      an exchange every cell is owned;
-//   3. at the level barrier, an attached exchange swaps deltas so the
-//      merged set covers what every participant enumerated. Cells a
-//      participant failed to provide (worker death) are re-enumerated
-//      locally during the merge — level-k enumeration only reads
-//      level-<k state plus fresh-pair entries no other cell can touch
-//      (a pair's table sets union to exactly one cell), so a recomputed
-//      delta is bit-identical to the one the dead worker would have sent;
-//   4. all of the level's cells are merged in canonical set order: pairs
-//      are marked in the fresh registry, plans appended to the arena, and
-//      each set's batch pruned cheapest-first — the identical sequence of
-//      Prune calls the serial path performs, on every replica.
+//   2. the level's table sets are enumerated across the pool. Enumeration
+//      probes CanCombine/IsFresh and buffers fresh pairs and their join
+//      alternatives into per-set CellDeltas (no shared writes);
+//   3. after the barrier all of the level's cells are merged in canonical
+//      set order: pairs are marked in the fresh registry, plans appended
+//      to the arena, and each set's batch pruned cheapest-first — the
+//      identical sequence of Prune calls the serial path performs.
 void IncrementalOptimizer::Phase2Partitioned(const CostVector& bounds,
                                              int resolution) {
   const int n = factory_.NumTables();
@@ -424,72 +407,18 @@ void IncrementalOptimizer::Phase2Partitioned(const CostVector& bounds,
       }
       level = &live;
     }
-    // Empty levels are skipped without an exchange round. Replicas run
-    // in lockstep, so every participant skips the same levels and the
-    // wire protocol's per-level frame counts stay aligned.
     if (level->empty()) continue;
 
-    // The owned slice: the cells this participant enumerates itself.
-    std::vector<TableSet> owned_storage;
-    const std::vector<TableSet>* owned = level;
-    if (exchange_ != nullptr) {
-      owned_storage.reserve(level->size());
-      for (TableSet q : *level) {
-        if (exchange_->Owns(q)) owned_storage.push_back(q);
-      }
-      owned = &owned_storage;
-    }
+    std::vector<CellDelta> deltas(level->size());
+    pool_->ParallelFor(level->size(), [&](size_t j) {
+      deltas[j].cell = (*level)[j];
+      EnumerateFreshPairs((*level)[j], collected, &deltas[j]);
+    });
 
-    std::vector<CellDelta> deltas(owned->size());
-    for (size_t j = 0; j < owned->size(); ++j) deltas[j].cell = (*owned)[j];
-    if (pool_ != nullptr && !owned->empty()) {
-      pool_->ParallelFor(owned->size(), [&](size_t j) {
-        EnumerateFreshPairs((*owned)[j], collected, &deltas[j]);
-      });
-    } else {
-      for (size_t j = 0; j < owned->size(); ++j) {
-        EnumerateFreshPairs((*owned)[j], collected, &deltas[j]);
-      }
-    }
-
-    std::vector<CellDelta> merged;
-    if (exchange_ != nullptr) {
-      if (!exchange_->ExchangeLevel(invocation_, resolution, k,
-                                    std::move(deltas), &merged)) {
-        // Released or transport lost mid-invocation: state is now
-        // incomplete and the session must be discarded (see
-        // exchange_aborted()).
-        exchange_aborted_ = true;
-        return;
-      }
-    } else {
-      merged = std::move(deltas);
-    }
-
-    std::unordered_map<uint32_t, const CellDelta*> by_mask;
-    by_mask.reserve(merged.size());
-    for (const CellDelta& d : merged) by_mask.emplace(d.cell.mask(), &d);
-
-    CellDelta scratch;
-    for (TableSet q : *level) {
-      const CellDelta* d;
-      const auto it = by_mask.find(q.mask());
-      if (it != by_mask.end()) {
-        d = it->second;
-      } else {
-        // Missing from the exchange (dead worker): recompute locally.
-        // Same-level merges so far only marked pairs belonging to other
-        // cells and appended level-k plans no level-<k Collect sees, so
-        // this enumeration matches what the owner would have produced.
-        scratch.cell = q;
-        scratch.fresh_pairs.clear();
-        scratch.joins.clear();
-        scratch.stale_pairs = 0;
-        EnumerateFreshPairs(q, collected, &scratch);
-        d = &scratch;
-      }
-      counters_.pairs_rejected_stale += d->stale_pairs;
-      for (const auto& [left, right] : d->fresh_pairs) {
+    for (const CellDelta& d : deltas) {
+      const TableSet q = d.cell;
+      counters_.pairs_rejected_stale += d.stale_pairs;
+      for (const auto& [left, right] : d.fresh_pairs) {
         // A pair's table sets union to q, so no other cell can have
         // buffered it; marking must succeed.
         const bool was_fresh = fresh_.Mark(left, right);
@@ -497,8 +426,8 @@ void IncrementalOptimizer::Phase2Partitioned(const CostVector& bounds,
         ++counters_.pairs_generated;
       }
       batch.clear();
-      batch.reserve(d->joins.size());
-      for (const CellJoin& pj : d->joins) {
+      batch.reserve(d.joins.size());
+      for (const CellJoin& pj : d.joins) {
         const PlanId id =
             arena_.AddJoin(q, pj.left, pj.right, pj.op, pj.op_cost.cost,
                            pj.op_cost.output_rows, pj.op_cost.order);

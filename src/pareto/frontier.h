@@ -5,12 +5,10 @@
 // discards the new entry if it is dominated and evicts entries the new one
 // strictly dominates.
 //
-// The entry list stays in insertion (array-of-structs) order for callers,
-// but dominance scans run against a struct-of-arrays CostBank mirror kept
-// in lockstep (pareto/kernel.h): one batched lane pass instead of one
-// virtual-free-but-strided CostVector compare per member. Both layouts
-// apply the identical swap-with-back eviction, so entries() ordering is
-// unchanged from the scalar implementation bit for bit.
+// Entries live in one list scanned with plain per-entry compares: the
+// frontiers here hold tens of entries, too few for the lane passes of
+// pareto/kernel.h to pay off (measured on the exhaustive baseline; see
+// docs/KERNEL.md).
 #ifndef MOQO_PARETO_FRONTIER_H_
 #define MOQO_PARETO_FRONTIER_H_
 
@@ -18,7 +16,6 @@
 #include <vector>
 
 #include "cost/cost_vector.h"
-#include "pareto/kernel.h"
 
 namespace moqo {
 
@@ -43,18 +40,10 @@ class ParetoFrontier {
   const std::vector<Entry>& entries() const { return entries_; }
   size_t size() const { return entries_.size(); }
   bool empty() const { return entries_.empty(); }
-  void clear() {
-    entries_.clear();
-    bank_.Clear();
-  }
+  void clear() { entries_.clear(); }
 
  private:
   std::vector<Entry> entries_;
-  // Cost lanes mirroring entries_ index-for-index; (re)dimensioned on the
-  // first insert after empty.
-  CostBank bank_;
-  // Scratch mask for batched dominance scans.
-  mutable std::vector<uint8_t> scratch_;
 };
 
 }  // namespace moqo

@@ -45,16 +45,6 @@ void MaskLeqFold(const double* lane, double c, uint8_t* m, size_t n) {
 }
 
 MOQO_KERNEL_CLONES
-void MaskGeqInit(const double* lane, double c, uint8_t* m, size_t n) {
-  for (size_t i = 0; i < n; ++i) m[i] = lane[i] >= c;
-}
-
-MOQO_KERNEL_CLONES
-void MaskGeqFold(const double* lane, double c, uint8_t* m, size_t n) {
-  for (size_t i = 0; i < n; ++i) m[i] &= static_cast<uint8_t>(lane[i] >= c);
-}
-
-MOQO_KERNEL_CLONES
 uint8_t MaskAny(const uint8_t* m, size_t n) {
   uint8_t any = 0;
   for (size_t i = 0; i < n; ++i) any |= m[i];
@@ -110,22 +100,6 @@ void CostBank::Grow(size_t min_capacity) {
   capacity_ = next;
 }
 
-// Lane-at-a-time mask passes: one streaming compare loop per metric,
-// folded into the byte mask with &.
-void DominatedMask(const CostBank& bank, const double* c, uint8_t* leq,
-                   uint8_t* geq) {
-  const size_t n = bank.size();
-  const int dims = bank.dims();
-  if (leq != nullptr) {
-    MaskLeqInit(bank.Lane(0), c[0], leq, n);
-    for (int d = 1; d < dims; ++d) MaskLeqFold(bank.Lane(d), c[d], leq, n);
-  }
-  if (geq != nullptr) {
-    MaskGeqInit(bank.Lane(0), c[0], geq, n);
-    for (int d = 1; d < dims; ++d) MaskGeqFold(bank.Lane(d), c[d], geq, n);
-  }
-}
-
 uint32_t FindDominating(const CostBank& bank, const double* bounds,
                         size_t* scanned) {
   const size_t n = bank.size();
@@ -171,42 +145,16 @@ uint32_t FindDominating(const CostBank& bank, const double* bounds,
   return kKernelNpos;
 }
 
+// Lane-at-a-time mask pass: one streaming compare loop per metric,
+// folded into the byte mask with &.
 size_t FilterByBounds(const CostBank& bank, const double* bounds,
                       uint8_t* mask) {
-  DominatedMask(bank, bounds, mask, nullptr);
-  return MaskCount(mask, bank.size());
-}
-
-bool FrontierBank::BatchInsert(const double* cost, uint64_t payload) {
-  const size_t n = costs.size();
-  // Reject iff some member m satisfies m ⪯ cost: strict dominators and
-  // exact duplicates both land in that mask (first payload wins).
-  if (FindDominating(costs, cost) != kKernelNpos) return false;
-  if (n > 0) {
-    // Evict members the candidate strictly dominates: cost ⪯ m and
-    // m != cost. Since no member has m ⪯ cost here, geq alone is the
-    // strict mask (equality would imply m ⪯ cost, already rejected).
-    scratch_.resize(n);
-    DominatedMask(costs, cost, nullptr, scratch_.data());
-    // Swap-with-back compaction, exactly the scalar eviction order: a
-    // mask bit travels with its entry when it is moved into a vacated
-    // slot, so the final layout matches the scalar path bit for bit.
-    size_t i = 0, end = n;
-    while (i < end) {
-      if (scratch_[i]) {
-        --end;
-        scratch_[i] = scratch_[end];
-        costs.SwapRemove(i);  // lane[i] = lane[end], size becomes end.
-        payloads[i] = payloads[end];
-        payloads.pop_back();
-      } else {
-        ++i;
-      }
-    }
+  const size_t n = bank.size();
+  MaskLeqInit(bank.Lane(0), bounds[0], mask, n);
+  for (int d = 1; d < bank.dims(); ++d) {
+    MaskLeqFold(bank.Lane(d), bounds[d], mask, n);
   }
-  costs.PushBack(cost);
-  payloads.push_back(payload);
-  return true;
+  return MaskCount(mask, n);
 }
 
 }  // namespace moqo

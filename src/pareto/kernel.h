@@ -20,10 +20,10 @@
 // from the heap otherwise.
 //
 // Contract. All primitives use exact IEEE-754 comparisons — the same
-// `<=` / `>=` the scalar CostVector::Dominates path performs, in the
-// same per-entry order for order-sensitive operations — so structures
-// built through the kernel are bit-identical to scalar-built ones
-// (asserted by kernel_test's randomized property suite and the
+// `<=` the scalar CostVector::Dominates path performs, in the same
+// per-entry order for order-sensitive operations — so structures built
+// through the kernel are bit-identical to scalar-built ones (asserted by
+// kernel_test's randomized property suite and the
 // bench_dominance_kernel --verify CI smoke). Costs are finite (the
 // index checks on insert); query bounds may contain +infinity. NaNs are
 // never stored, so every comparison is total.
@@ -88,7 +88,7 @@ class BankArena {
   size_t used_ = 0;        // Doubles consumed in chunks_.back().
 };
 
-// Struct-of-arrays cost storage for one cell (or one frontier): `dims`
+// Struct-of-arrays cost storage for one index cell: `dims`
 // contiguous double lanes, one per metric, padded to kLanePad. Movable,
 // not copyable (a bank may alias arena storage).
 class CostBank {
@@ -144,9 +144,9 @@ class CostBank {
     ++size_;
   }
 
-  // Removes entry i by moving the last entry into its place (the
-  // index/frontier eviction order — callers replicate the same move on
-  // their payload lanes).
+  // Removes entry i by moving the last entry into its place (the index
+  // eviction order — callers replicate the same move on their payload
+  // lanes).
   void SwapRemove(size_t i) {
     MOQO_DCHECK(i < size_);
     const size_t last = size_ - 1;
@@ -173,18 +173,9 @@ class CostBank {
 
 // --- Batched dominance primitives -----------------------------------------
 //
-// All masks are byte masks: out[i] is 1/0 for entry i. Callers provide
+// Masks are byte masks: out[i] is 1/0 for entry i. Callers provide
 // scratch of at least bank.size() bytes. The loops are written so the
 // compiler vectorizes them (per-lane streaming compares folded with &).
-
-// DominatedMask: compares every entry against candidate `c`
-// (`bank.dims()` doubles) in one pass over the lanes.
-//   leq[i] = 1 iff entry_i ⪯ c  (the entry dominates the candidate)
-//   geq[i] = 1 iff c ⪯ entry_i  (the candidate dominates the entry)
-// Either output may be null when only one side is needed. Equality is
-// leq & geq; strict dominance is one side minus the intersection.
-void DominatedMask(const CostBank& bank, const double* c, uint8_t* leq,
-                   uint8_t* geq);
 
 // First entry (in insertion order) whose cost is ⪯ `bounds`, or
 // kKernelNpos. Early-exits block-wise; the batched form of "is anything
@@ -199,30 +190,6 @@ uint32_t FindDominating(const CostBank& bank, const double* bounds,
 // range queries (Collect/Drain/ForEachInRange).
 size_t FilterByBounds(const CostBank& bank, const double* bounds,
                       uint8_t* mask);
-
-// --- Batched Pareto-frontier insertion -------------------------------------
-
-// A Pareto frontier in bank layout: cost lanes plus one payload lane.
-// BatchInsert replicates the scalar ParetoFrontier::Insert semantics
-// bit for bit: reject when any member dominates (or equals) the
-// candidate, evict members the candidate strictly dominates in
-// swap-with-back order, first payload wins among cost-equal duplicates.
-struct FrontierBank {
-  explicit FrontierBank(int dims) : costs(dims) {}
-
-  CostBank costs;
-  std::vector<uint64_t> payloads;
-
-  // Attempts to insert; returns true iff the entry was kept. `cost` is
-  // `costs.dims()` doubles.
-  bool BatchInsert(const double* cost, uint64_t payload);
-
-  size_t size() const { return costs.size(); }
-
- private:
-  // Scratch masks reused across insertions (leq then geq).
-  std::vector<uint8_t> scratch_;
-};
 
 }  // namespace moqo
 

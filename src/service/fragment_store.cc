@@ -673,7 +673,8 @@ void FragmentStore::OpenAndReplay() {
         cold_->dead_bytes += record_bytes;
       }
     } else {
-      // Unknown record type (future format): framing lets us skip it.
+      // Unknown record type (a future format, or the retired tags 3/4):
+      // framing lets us skip it.
       cold_->dead_bytes += record_bytes;
     }
     offset += record_bytes;

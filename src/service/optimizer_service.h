@@ -129,11 +129,6 @@
 
 namespace moqo {
 
-namespace dist {
-class DistributedBackend;  // dist/backend.h
-class DistRun;
-}  // namespace dist
-
 /// Service-wide configuration, fixed at construction.
 struct ServiceOptions {
   /// Total worker budget shared by all sessions' phase-2 enumeration,
@@ -225,18 +220,6 @@ struct ServiceOptions {
   CostModelParams cost_params;
   /// Operator library configuration shared by all queries (service-wide).
   OperatorOptions operator_options;
-  /// Distributed enumeration tier (docs/DISTRIBUTED.md): non-null routes
-  /// eligible queries' phase-2 enumeration through the backend's
-  /// coordinator/worker exchange. The backend must outlive the service.
-  /// Distribution is frontier-transparent — a distributed run's result
-  /// is bit-identical to the local run's — so it participates in no
-  /// cache key. Distributed runs never seed from or publish to the
-  /// fragment store (replica lockstep excludes pre-seeded cells).
-  dist::DistributedBackend* distributed_backend = nullptr;
-  /// Smallest query (in tables) routed to the distributed tier; smaller
-  /// queries always run locally — per-level exchange round trips dwarf
-  /// small enumerations. 0 disables routing even with a backend set.
-  int distributed_min_tables = 0;
 };
 
 /// Cache/placement key for a submission: canonicalized join graph
@@ -258,20 +241,10 @@ std::string CanonicalQueryKey(const Query& query, const MetricSchema& schema,
                               const SubmitRequest& request,
                               uint64_t catalog_version);
 
-/// Legacy-options overload of CanonicalQueryKey.
-/// \deprecated Use the SubmitRequest overload.
-std::string CanonicalQueryKey(const Query& query, const MetricSchema& schema,
-                              const SubmitOptions& options,
-                              uint64_t catalog_version);
-
 /// The sharded multi-query serving layer; see the file comment for the
 /// full design (shards, stealing, coalescing, caching).
 class OptimizerService {
  public:
-  /// The legacy synchronous observer type; see moqo::SnapshotObserver
-  /// for the contract (kept as a nested alias for source compatibility).
-  using SnapshotObserver = moqo::SnapshotObserver;
-
   /// Starts the shard threads, pinning `catalog`'s current snapshot for
   /// admissions. `catalog` must outlive the service; it may be mutated
   /// while the service runs (Catalog is thread-safe), but mutations
@@ -301,11 +274,6 @@ class OptimizerService {
   /// without optimizing; one matching a run still in flight attaches to
   /// it as a follower (see the file comment).
   StatusOr<SubmitResponse> Submit(SubmitRequest request);
-
-  /// Legacy positional Submit.
-  /// \deprecated Shim over Submit(SubmitRequest); use that directly.
-  StatusOr<QueryId> Submit(const Query& query, SubmitOptions options = {},
-                           SnapshotObserver observer = nullptr);
 
   /// Requests cancellation; returns false if the query is unknown or
   /// already finished. After a true return, Wait() observes kCancelled —

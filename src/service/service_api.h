@@ -10,9 +10,7 @@
 /// submission — query, tenant, scheduling, bounds, streaming — into one
 /// struct that the in-process API and the network codec share
 /// (src/net/wire.h encodes and decodes exactly this struct), and
-/// SubmitResponse carries everything admission decides. The legacy
-/// `Submit(query, SubmitOptions, observer)` overload remains as a thin
-/// shim and is deprecated.
+/// SubmitResponse carries everything admission decides.
 ///
 /// **Error taxonomy.** Every admission rejection returns a distinct
 /// util::Status code that round-trips through the wire protocol:
@@ -146,20 +144,6 @@ struct SubmitResponse {
   /// a trailing optional field — wire-v1 peers that do not send or
   /// expect it interoperate unchanged (the decoder defaults it to 0).
   uint64_t tenant_fragment_hits = 0;
-};
-
-/// Per-submission options of the legacy Submit overload.
-/// \deprecated Use SubmitRequest; this struct only feeds the
-/// compatibility shim and will not grow new fields.
-struct SubmitOptions {
-  /// See SubmitRequest::iama.
-  IamaOptions iama;
-  /// See SubmitRequest::max_iterations.
-  int max_iterations = 0;
-  /// See SubmitRequest::priority.
-  int priority = 1;
-  /// See SubmitRequest::deadline_ms.
-  double deadline_ms = 0.0;
 };
 
 /// Terminal states as reported by Wait(); kQueued is only ever seen as

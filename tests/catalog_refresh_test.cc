@@ -63,7 +63,7 @@ TEST(CatalogRefreshStressTest, RefreshRacesSubmitCancelWait) {
   service_opts.operator_options = TinyOperatorOptions(/*sampling=*/true);
   OptimizerService service(catalog, service_opts);
 
-  SubmitOptions submit;
+  SubmitRequest submit;
   submit.iama.schedule = ResolutionSchedule(3, 1.02, 0.3);
 
   // Every catalog generation's snapshot, recorded by the (single)
@@ -111,7 +111,7 @@ TEST(CatalogRefreshStressTest, RefreshRacesSubmitCancelWait) {
       for (int i = 0; i < kPerClient; ++i) {
         const size_t qi =
             static_cast<size_t>(c + i) % queries.size();
-        StatusOr<QueryId> id = service.Submit(queries[qi], submit);
+        StatusOr<QueryId> id = SubmitQuery(service, queries[qi], submit);
         ASSERT_TRUE(id.ok()) << id.status().ToString();
         if (i % 5 == 4) service.Cancel(id.value());
         const QueryResult r = service.Wait(id.value());
@@ -174,7 +174,7 @@ TEST(CatalogRefreshStressTest, RefreshRacesDestruction) {
   service_opts.num_threads = 2;
   service_opts.num_shards = 2;
   service_opts.operator_options = TinyOperatorOptions(/*sampling=*/true);
-  SubmitOptions submit;
+  SubmitRequest submit;
   submit.iama.schedule = ResolutionSchedule(3, 1.02, 0.3);
   submit.max_iterations = 1000000;  // Runs outlive the service on purpose.
 
@@ -183,7 +183,7 @@ TEST(CatalogRefreshStressTest, RefreshRacesDestruction) {
   {
     OptimizerService service(catalog, service_opts);
     for (const Query& q : queries) {
-      ASSERT_TRUE(service.Submit(q, submit).ok());
+      ASSERT_TRUE(SubmitQuery(service, q, submit).ok());
     }
     mutator = std::thread([&] {
       int i = 0;

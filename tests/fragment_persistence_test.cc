@@ -206,10 +206,13 @@ TEST(FragmentPersistenceTest, TornTailLosesOnlyFinalRecord) {
 
 TEST(FragmentPersistenceTest, UndecodableRecordSkippedNotFatal) {
   TempDir dir;
-  // Forge a log by hand: valid record, framed-but-garbage payload, valid
-  // record. Replay must keep both good fragments and count one decode
-  // error (the garbage frame passes CRC, so this exercises the payload
-  // decoder's rejection path, not the framing CRC).
+  // Forge a log by hand: valid record, framed-but-garbage payload,
+  // records of unknown type tags, valid record. Replay must keep both
+  // good fragments and count one decode error (the garbage frame passes
+  // CRC, so this exercises the payload decoder's rejection path, not the
+  // framing CRC). The unknown tags — the retired 3 and 4 and one never
+  // used — are CRC-valid too; replay skips them as dead bytes without
+  // decoding them.
   std::string log;
   FragmentRecord rec;
   rec.key = "good1";
@@ -217,7 +220,13 @@ TEST(FragmentPersistenceTest, UndecodableRecordSkippedNotFatal) {
   rec.resolution_complete = 2;
   AppendLogRecord(&log, LogRecordType::kFragment,
                   EncodeFragmentRecord(rec, *MakeFragment(2, 3)));
+  const size_t skipped_from = log.size();
   AppendLogRecord(&log, LogRecordType::kFragment, "not a fragment payload");
+  for (const uint8_t tag : {3, 4, 0x7E}) {
+    AppendLogRecord(&log, static_cast<LogRecordType>(tag),
+                    "payload of an unknown record type");
+  }
+  const size_t skipped_bytes = log.size() - skipped_from;
   rec.key = "good2";
   AppendLogRecord(&log, LogRecordType::kFragment,
                   EncodeFragmentRecord(rec, *MakeFragment(2, 4)));
@@ -232,6 +241,7 @@ TEST(FragmentPersistenceTest, UndecodableRecordSkippedNotFatal) {
   const FragmentStoreStats stats = store.Stats();
   EXPECT_EQ(stats.replayed_fragments, 2u);
   EXPECT_EQ(stats.cold_decode_errors, 1u);
+  EXPECT_EQ(stats.cold_dead_bytes, skipped_bytes);
   EXPECT_NE(store.Lookup("good1", 2), nullptr);
   EXPECT_NE(store.Lookup("good2", 2), nullptr);
 }
@@ -493,7 +503,7 @@ ServiceOptions PersistentServiceOptions(const std::string& store_path) {
 
 TEST(FragmentPersistenceServiceTest, WarmRestartBitIdenticalToColdRun) {
   const Catalog catalog = MakeTpchCatalog();
-  SubmitOptions submit;
+  SubmitRequest submit;
   submit.iama.schedule = ResolutionSchedule(4, 1.02, 0.3);
   const std::vector<Query> workload = {ChainQuery(), OverlapQuery(0),
                                        OverlapQuery(1)};
@@ -510,7 +520,7 @@ TEST(FragmentPersistenceServiceTest, WarmRestartBitIdenticalToColdRun) {
     ASSERT_TRUE(service.fragment_store()->cold_status().ok());
     for (const Query& query : workload) {
       const QueryResult result =
-          service.Wait(service.Submit(query, submit).value());
+          service.Wait(SubmitQuery(service, query, submit).value());
       ASSERT_EQ(result.state, QueryState::kDone) << query.name;
       cold_signatures.push_back(FrontierSignature(result.frontier.plans));
     }
@@ -528,7 +538,7 @@ TEST(FragmentPersistenceServiceTest, WarmRestartBitIdenticalToColdRun) {
   EXPECT_GT(service.fragment_store()->Stats().replayed_fragments, 0u);
   for (size_t q = 0; q < workload.size(); ++q) {
     const QueryResult result =
-        service.Wait(service.Submit(workload[q], submit).value());
+        service.Wait(SubmitQuery(service, workload[q], submit).value());
     ASSERT_EQ(result.state, QueryState::kDone) << workload[q].name;
     EXPECT_EQ(FrontierSignature(result.frontier.plans), cold_signatures[q])
         << workload[q].name;
@@ -545,14 +555,14 @@ TEST(FragmentPersistenceServiceTest, WarmRestartBitIdenticalToColdRun) {
 
 TEST(FragmentPersistenceServiceTest, RefreshCatalogInvalidationIsDurable) {
   Catalog catalog = MakeTpchCatalog();
-  SubmitOptions submit;
+  SubmitRequest submit;
   submit.iama.schedule = ResolutionSchedule(4, 1.02, 0.3);
   TempDir dir;
   {
     OptimizerService service(catalog,
                              PersistentServiceOptions(dir.LogPath()));
     const QueryResult result =
-        service.Wait(service.Submit(ChainQuery(), submit).value());
+        service.Wait(SubmitQuery(service, ChainQuery(), submit).value());
     ASSERT_EQ(result.state, QueryState::kDone);
     // Publishing happens on the shard thread after the result is
     // waitable; destruction is the only barrier that covers *all* of a
@@ -581,7 +591,7 @@ TEST(FragmentPersistenceServiceTest, RefreshCatalogInvalidationIsDurable) {
   EXPECT_EQ(service.fragment_store()->Stats().replayed_fragments, 0u);
   // And a fresh run is still correct (publishes under the new epoch).
   const QueryResult result =
-      service.Wait(service.Submit(ChainQuery(), submit).value());
+      service.Wait(SubmitQuery(service, ChainQuery(), submit).value());
   EXPECT_EQ(result.state, QueryState::kDone);
   EXPECT_EQ(service.stats().fragment_cold_hits, 0u);
 }

@@ -502,8 +502,8 @@ ServiceOptions FragmentServiceOptions(int shards, size_t fragment_bytes) {
   return options;
 }
 
-SubmitOptions FragmentSubmitOptions() {
-  SubmitOptions submit;
+SubmitRequest FragmentSubmitRequest() {
+  SubmitRequest submit;
   submit.iama.schedule = ResolutionSchedule(4, 1.02, 0.3);
   return submit;
 }
@@ -517,7 +517,7 @@ TEST(OptimizerServiceFragmentTest, WarmFrontiersBitIdenticalAcrossShards) {
   std::vector<Query> workload = {CoreQuery(), VariantQuery(0),
                                  VariantQuery(1), VariantQuery(2),
                                  RenumberedQuery()};
-  const SubmitOptions submit = FragmentSubmitOptions();
+  const SubmitRequest submit = FragmentSubmitRequest();
   const int iterations = submit.iama.schedule.NumLevels();
 
   for (const int shards : {1, 2, 4}) {
@@ -526,7 +526,7 @@ TEST(OptimizerServiceFragmentTest, WarmFrontiersBitIdenticalAcrossShards) {
     OptimizerService service(catalog, service_opts);
     for (int pass = 0; pass < 2; ++pass) {
       for (const Query& query : workload) {
-        const QueryId id = service.Submit(query, submit).value();
+        const QueryId id = SubmitQuery(service, query, submit).value();
         const QueryResult result = service.Wait(id);
         ASSERT_EQ(result.state, QueryState::kDone) << query.name;
         EXPECT_EQ(result.iterations, iterations);
@@ -549,13 +549,13 @@ TEST(OptimizerServiceFragmentTest, WarmFrontiersBitIdenticalAcrossShards) {
 // variant does strictly less work than on a fragment-less service.
 TEST(OptimizerServiceFragmentTest, WarmStoreCutsOptimizerWork) {
   const Catalog catalog = MakeTpchCatalog();
-  const SubmitOptions submit = FragmentSubmitOptions();
+  const SubmitRequest submit = FragmentSubmitRequest();
 
   // Cold counters from a service without a fragment store.
   ServiceOptions cold_opts = FragmentServiceOptions(1, /*fragment_bytes=*/0);
   OptimizerService cold_service(catalog, cold_opts);
   const QueryResult cold_variant = cold_service.Wait(
-      cold_service.Submit(VariantQuery(0), submit).value());
+      SubmitQuery(cold_service, VariantQuery(0), submit).value());
   ASSERT_EQ(cold_variant.state, QueryState::kDone);
   ASSERT_GT(cold_variant.pairs_generated, 0u);
 
@@ -563,13 +563,13 @@ TEST(OptimizerServiceFragmentTest, WarmStoreCutsOptimizerWork) {
       FragmentServiceOptions(1, /*fragment_bytes=*/16 << 20);
   OptimizerService service(catalog, warm_opts);
   const QueryResult first =
-      service.Wait(service.Submit(CoreQuery(), submit).value());
+      service.Wait(SubmitQuery(service, CoreQuery(), submit).value());
   ASSERT_EQ(first.state, QueryState::kDone);
   EXPECT_GT(first.pairs_generated, 0u);
 
   // Identical query again (whole-query cache is off): fully seeded.
   const QueryResult repeat =
-      service.Wait(service.Submit(CoreQuery(), submit).value());
+      service.Wait(SubmitQuery(service, CoreQuery(), submit).value());
   ASSERT_EQ(repeat.state, QueryState::kDone);
   EXPECT_EQ(repeat.pairs_generated, 0u);
   EXPECT_FALSE(repeat.from_cache);
@@ -577,7 +577,7 @@ TEST(OptimizerServiceFragmentTest, WarmStoreCutsOptimizerWork) {
 
   // Overlapping variant: strictly less work than without the store.
   const QueryResult warm_variant =
-      service.Wait(service.Submit(VariantQuery(0), submit).value());
+      service.Wait(SubmitQuery(service, VariantQuery(0), submit).value());
   ASSERT_EQ(warm_variant.state, QueryState::kDone);
   EXPECT_LT(warm_variant.pairs_generated, cold_variant.pairs_generated);
   EXPECT_GT(warm_variant.pairs_generated, 0u);
@@ -591,7 +591,7 @@ TEST(OptimizerServiceFragmentTest, WarmStoreCutsOptimizerWork) {
 // hit rate.
 TEST(OptimizerServiceFragmentTest, TinyBudgetEvictsButStaysCorrect) {
   const Catalog catalog = MakeTpchCatalog();
-  const SubmitOptions submit = FragmentSubmitOptions();
+  const SubmitRequest submit = FragmentSubmitRequest();
   const int iterations = submit.iama.schedule.NumLevels();
   ServiceOptions service_opts =
       FragmentServiceOptions(2, /*fragment_bytes=*/4096);
@@ -600,7 +600,7 @@ TEST(OptimizerServiceFragmentTest, TinyBudgetEvictsButStaysCorrect) {
                                  VariantQuery(1), CoreQuery()};
   for (const Query& query : workload) {
     const QueryResult result =
-        service.Wait(service.Submit(query, submit).value());
+        service.Wait(SubmitQuery(service, query, submit).value());
     ASSERT_EQ(result.state, QueryState::kDone);
     const FrontierSnapshot reference = SequentialFinalSnapshot(
         query, catalog, service_opts, submit.iama, iterations);
@@ -615,17 +615,17 @@ TEST(OptimizerServiceFragmentTest, TinyBudgetEvictsButStaysCorrect) {
 // identical submission pays full price again.
 TEST(OptimizerServiceFragmentTest, EpochBumpInvalidatesStore) {
   const Catalog catalog = MakeTpchCatalog();
-  const SubmitOptions submit = FragmentSubmitOptions();
+  const SubmitRequest submit = FragmentSubmitRequest();
   ServiceOptions service_opts =
       FragmentServiceOptions(1, /*fragment_bytes=*/16 << 20);
   OptimizerService service(catalog, service_opts);
   const QueryResult first =
-      service.Wait(service.Submit(CoreQuery(), submit).value());
+      service.Wait(SubmitQuery(service, CoreQuery(), submit).value());
   ASSERT_EQ(first.state, QueryState::kDone);
   ASSERT_NE(service.fragment_store(), nullptr);
   service.fragment_store()->BumpEpoch();
   const QueryResult second =
-      service.Wait(service.Submit(CoreQuery(), submit).value());
+      service.Wait(SubmitQuery(service, CoreQuery(), submit).value());
   ASSERT_EQ(second.state, QueryState::kDone);
   EXPECT_EQ(second.pairs_generated, first.pairs_generated);
   EXPECT_GT(second.pairs_generated, 0u);
@@ -638,7 +638,7 @@ TEST(OptimizerServiceFragmentTest, EpochBumpInvalidatesStore) {
 // new catalog bit for bit — and then re-warm the store under the new
 // epoch. Runs admitted before the refresh publish nothing.
 TEST(OptimizerServiceFragmentTest, RefreshCatalogInvalidatesFragments) {
-  const SubmitOptions submit = FragmentSubmitOptions();
+  const SubmitRequest submit = FragmentSubmitRequest();
   const int iterations = submit.iama.schedule.NumLevels();
   for (const int shards : {1, 2, 4}) {
     Catalog catalog = MakeTpchCatalog();
@@ -647,7 +647,7 @@ TEST(OptimizerServiceFragmentTest, RefreshCatalogInvalidatesFragments) {
     OptimizerService service(catalog, service_opts);
 
     const QueryResult cold =
-        service.Wait(service.Submit(CoreQuery(), submit).value());
+        service.Wait(SubmitQuery(service, CoreQuery(), submit).value());
     ASSERT_EQ(cold.state, QueryState::kDone);
     ASSERT_GT(cold.pairs_generated, 0u);
     // Publishing happens on the shard thread after the result is
@@ -659,7 +659,7 @@ TEST(OptimizerServiceFragmentTest, RefreshCatalogInvalidatesFragments) {
     }
     // Store warm: an identical resubmission is fully seeded.
     const QueryResult warm =
-        service.Wait(service.Submit(CoreQuery(), submit).value());
+        service.Wait(SubmitQuery(service, CoreQuery(), submit).value());
     ASSERT_EQ(warm.state, QueryState::kDone);
     ASSERT_EQ(warm.pairs_generated, 0u);
 
@@ -676,7 +676,7 @@ TEST(OptimizerServiceFragmentTest, RefreshCatalogInvalidatesFragments) {
     const uint64_t publishes_before_recold =
         service.stats().fragment_publishes;
     const QueryResult recold =
-        service.Wait(service.Submit(CoreQuery(), submit).value());
+        service.Wait(SubmitQuery(service, CoreQuery(), submit).value());
     ASSERT_EQ(recold.state, QueryState::kDone);
     EXPECT_EQ(recold.catalog_version, v1);
     EXPECT_GT(recold.pairs_generated, 0u) << "shards " << shards;
@@ -692,7 +692,7 @@ TEST(OptimizerServiceFragmentTest, RefreshCatalogInvalidatesFragments) {
 
     // The store re-warms under the new epoch.
     const QueryResult rewarm =
-        service.Wait(service.Submit(CoreQuery(), submit).value());
+        service.Wait(SubmitQuery(service, CoreQuery(), submit).value());
     ASSERT_EQ(rewarm.state, QueryState::kDone);
     EXPECT_EQ(rewarm.pairs_generated, 0u) << "shards " << shards;
     ASSERT_EQ(FrontierSignature(rewarm.frontier.plans),
@@ -709,17 +709,16 @@ TEST(OptimizerServiceFragmentTest, StaleRunsDoNotPublishFragments) {
   ServiceOptions service_opts =
       FragmentServiceOptions(1, /*fragment_bytes=*/16 << 20);
   OptimizerService service(catalog, service_opts);
-  SubmitOptions submit = FragmentSubmitOptions();
+  SubmitRequest submit = FragmentSubmitRequest();
 
   // Blocker: parks the shard inside its first observer call.
   std::mutex mu;
   std::condition_variable cv;
   bool entered = false, released = false, blocked_once = false;
-  SubmitOptions blocker_submit = FragmentSubmitOptions();
+  SubmitRequest blocker_submit = FragmentSubmitRequest();
   blocker_submit.max_iterations = 1000000;
   const QueryId blocker =
-      service
-          .Submit(VariantQuery(3), blocker_submit,
+      SubmitQuery(service, VariantQuery(3), blocker_submit,
                   [&](QueryId, const FrontierSnapshot&) {
                     std::unique_lock<std::mutex> lock(mu);
                     if (blocked_once) return;
@@ -734,7 +733,7 @@ TEST(OptimizerServiceFragmentTest, StaleRunsDoNotPublishFragments) {
   }
 
   // Admitted pre-refresh; completes post-refresh as a stale run.
-  const QueryId stale = service.Submit(CoreQuery(), submit).value();
+  const QueryId stale = SubmitQuery(service, CoreQuery(), submit).value();
   ASSERT_TRUE(
       catalog
           .UpdateStats(TpchTable::kOrders,
@@ -763,13 +762,13 @@ TEST(OptimizerServiceFragmentTest, SubmitRejectsFragmentKnobs) {
   FragmentStoreProvider provider(&store, CoreQuery(),
                                  MetricSchema::Standard3(), SmallIama(),
                                  false, 2);
-  SubmitOptions bad = FragmentSubmitOptions();
+  SubmitRequest bad = FragmentSubmitRequest();
   bad.iama.optimizer.fragment_store = &provider;
-  EXPECT_EQ(service.Submit(CoreQuery(), bad).status().code(),
+  EXPECT_EQ(SubmitQuery(service, CoreQuery(), bad).status().code(),
             StatusCode::kInvalidArgument);
-  SubmitOptions bad2 = FragmentSubmitOptions();
+  SubmitRequest bad2 = FragmentSubmitRequest();
   bad2.iama.optimizer.fragment_publish = true;
-  EXPECT_EQ(service.Submit(CoreQuery(), bad2).status().code(),
+  EXPECT_EQ(SubmitQuery(service, CoreQuery(), bad2).status().code(),
             StatusCode::kInvalidArgument);
 }
 

@@ -7,6 +7,7 @@
 // scheduler threads all interleave here.
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -371,8 +372,8 @@ TEST(NetServerTest, RemoteResultsBitIdenticalToInProcess) {
     ASSERT_TRUE(remote_result.ok());
     EXPECT_EQ(remote_result.value().state, QueryState::kDone);
 
-    StatusOr<QueryId> local_id = local.Submit(query, [] {
-      SubmitOptions options;
+    StatusOr<QueryId> local_id = SubmitQuery(local, query, [] {
+      SubmitRequest options;
       options.max_iterations = 5;
       return options;
     }());
@@ -493,9 +494,9 @@ TEST(NetServerTest, ConcurrentSessionsMatchInProcess) {
   local_options.num_shards = 2;
   OptimizerService local(catalog, local_options);
   for (size_t qi = 0; qi < queries.size(); ++qi) {
-    SubmitOptions options;
+    SubmitRequest options;
     options.max_iterations = 4;
-    StatusOr<QueryId> id = local.Submit(queries[qi], options);
+    StatusOr<QueryId> id = SubmitQuery(local, queries[qi], options);
     ASSERT_TRUE(id.ok());
     const auto expected = FrontierSignature(local.Wait(id.value()).frontier.plans);
     for (int s = 0; s < kSessions; ++s) {
@@ -780,28 +781,41 @@ TEST(NetServerTest, MalformedFramesDropOnlyTheirConnection) {
   ASSERT_TRUE(submitted.ok());
   ASSERT_TRUE(client.Wait(submitted.value().id).ok());
 
-  // Garbage *after* a valid handshake likewise kills only that session.
-  int fd2 = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(fd2, 0);
-  ASSERT_EQ(::connect(fd2, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0);
-  ASSERT_TRUE(net::WriteFrame(fd2, MsgType::kHello,
-                              net::EncodeHello(net::kWireVersion))
-                  .ok());
-  Frame hello_ok;
-  ASSERT_TRUE(net::ReadFrame(fd2, &hello_ok).ok());
-  ASSERT_TRUE(
-      net::WriteFrame(fd2, static_cast<MsgType>(0x77), "garbage").ok());
-  Frame error_frame;
-  // The server answers with an error frame and closes.
-  if (net::ReadFrame(fd2, &error_frame).ok()) {
+  // Garbage *after* a valid handshake likewise kills only that session:
+  // an unknown type byte, and each retired worker frame type (8-11 and
+  // 22-25, from a removed distributed tier), gets an error frame and a
+  // close, while the well-behaved client keeps being served.
+  for (const int type : {0x77, 8, 9, 10, 11, 22, 23, 24, 25}) {
+    SCOPED_TRACE(type);
+    int fd2 = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd2, 0);
+    ASSERT_EQ(
+        ::connect(fd2, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+    // Bounded reads: a server that silently ignored the frame would
+    // otherwise hang the test instead of failing it.
+    const timeval read_timeout{10, 0};
+    ASSERT_EQ(::setsockopt(fd2, SOL_SOCKET, SO_RCVTIMEO, &read_timeout,
+                           sizeof(read_timeout)),
+              0);
+    ASSERT_TRUE(net::WriteFrame(fd2, MsgType::kHello,
+                                net::EncodeHello(net::kWireVersion))
+                    .ok());
+    Frame hello_ok;
+    ASSERT_TRUE(net::ReadFrame(fd2, &hello_ok).ok());
+    ASSERT_TRUE(
+        net::WriteFrame(fd2, static_cast<MsgType>(type), "garbage").ok());
+    // The server answers with an error frame, then closes the connection.
+    Frame error_frame;
+    ASSERT_TRUE(net::ReadFrame(fd2, &error_frame).ok());
     EXPECT_EQ(error_frame.type, static_cast<uint8_t>(MsgType::kError));
-  }
-  ::close(fd2);
+    Frame after_close;
+    EXPECT_FALSE(net::ReadFrame(fd2, &after_close).ok());
+    ::close(fd2);
 
-  StatusOr<SubmitResponse> again = client.Submit(request);
-  ASSERT_TRUE(again.ok());
-  ASSERT_TRUE(client.Wait(again.value().id).ok());
+    StatusOr<SubmitResponse> again = client.Submit(request);
+    ASSERT_TRUE(again.ok());
+    ASSERT_TRUE(client.Wait(again.value().id).ok());
+  }
 }
 
 TEST(NetServerTest, ClientDisconnectCancelsItsRuns) {

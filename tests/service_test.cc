@@ -59,8 +59,8 @@ ServiceOptions SmallServiceOptions(int threads) {
   return options;
 }
 
-SubmitOptions SmallSubmitOptions(int levels = 4) {
-  SubmitOptions options;
+SubmitRequest SmallSubmitRequest(int levels = 4) {
+  SubmitRequest options;
   options.iama.schedule = ResolutionSchedule(levels, 1.02, 0.3);
   return options;
 }
@@ -99,7 +99,7 @@ void ExpectShardedServiceMatchesSequential(int shards) {
   const Workload w = MakeWorkload(/*num_random=*/4);
   ServiceOptions service_opts = SmallServiceOptions(/*threads=*/4);
   service_opts.num_shards = shards;
-  const SubmitOptions submit = SmallSubmitOptions();
+  const SubmitRequest submit = SmallSubmitRequest();
   const int iterations = submit.iama.schedule.NumLevels();
 
   OptimizerService service(w.catalog, service_opts);
@@ -118,8 +118,8 @@ void ExpectShardedServiceMatchesSequential(int shards) {
       for (size_t i = static_cast<size_t>(thread); i < w.queries.size();
            i += kSubmitters) {
         std::atomic<int>* count = snapshot_counts[i].get();
-        StatusOr<QueryId> id = service.Submit(
-            w.queries[i], submit,
+        StatusOr<QueryId> id = SubmitQuery(
+            service, w.queries[i], submit,
             [count](QueryId, const FrontierSnapshot&) { ++*count; });
         ASSERT_TRUE(id.ok()) << id.status().ToString();
         ids[i] = id.value();
@@ -166,10 +166,10 @@ TEST(OptimizerServiceTest, ConcurrentSessionsMatchSequentialFourShards) {
 TEST(OptimizerServiceTest, CacheServesRepeatedQueryBitIdentically) {
   const Workload w = MakeWorkload(/*num_random=*/0);
   OptimizerService service(w.catalog, SmallServiceOptions(2));
-  const SubmitOptions submit = SmallSubmitOptions();
+  const SubmitRequest submit = SmallSubmitRequest();
   const Query& query = w.queries.front();
 
-  StatusOr<QueryId> first = service.Submit(query, submit);
+  StatusOr<QueryId> first = SubmitQuery(service, query, submit);
   ASSERT_TRUE(first.ok());
   const QueryResult r1 = service.Wait(first.value());
   ASSERT_EQ(r1.state, QueryState::kDone);
@@ -182,8 +182,8 @@ TEST(OptimizerServiceTest, CacheServesRepeatedQueryBitIdentically) {
   respelled.name = "respelled";
   for (TableRef& t : respelled.tables) t.alias = "x" + t.alias;
   std::atomic<int> snapshots{0};
-  StatusOr<QueryId> second = service.Submit(
-      respelled, submit,
+  StatusOr<QueryId> second = SubmitQuery(
+      service, respelled, submit,
       [&snapshots](QueryId, const FrontierSnapshot&) { ++snapshots; });
   ASSERT_TRUE(second.ok());
   const QueryResult r2 = service.Wait(second.value());
@@ -203,15 +203,17 @@ TEST(OptimizerServiceTest, CacheEvictsLeastRecentlyUsed) {
   ServiceOptions options = SmallServiceOptions(1);
   options.frontier_cache_capacity = 1;
   OptimizerService service(w.catalog, options);
-  const SubmitOptions submit = SmallSubmitOptions();
+  const SubmitRequest submit = SmallSubmitRequest();
   const Query& a = w.queries[w.queries.size() - 2];
   const Query& b = w.queries[w.queries.size() - 1];
 
-  service.Wait(service.Submit(a, submit).value());
-  service.Wait(service.Submit(b, submit).value());  // Evicts a.
-  const QueryResult again = service.Wait(service.Submit(a, submit).value());
+  service.Wait(SubmitQuery(service, a, submit).value());
+  service.Wait(SubmitQuery(service, b, submit).value());  // Evicts a.
+  const QueryResult again =
+      service.Wait(SubmitQuery(service, a, submit).value());
   EXPECT_FALSE(again.from_cache);
-  const QueryResult b_hit = service.Wait(service.Submit(b, submit).value());
+  const QueryResult b_hit =
+      service.Wait(SubmitQuery(service, b, submit).value());
   EXPECT_FALSE(b_hit.from_cache);  // b was evicted by re-running a.
   EXPECT_EQ(service.stats().cache_hits, 0u);
 }
@@ -222,12 +224,12 @@ TEST(OptimizerServiceTest, ResultRetentionDropsOldestResults) {
   ServiceOptions options = SmallServiceOptions(1);
   options.result_retention = 2;
   OptimizerService service(w.catalog, options);
-  const SubmitOptions submit = SmallSubmitOptions();
+  const SubmitRequest submit = SmallSubmitRequest();
 
-  const QueryId first = service.Submit(w.queries[0], submit).value();
+  const QueryId first = SubmitQuery(service, w.queries[0], submit).value();
   EXPECT_EQ(service.Wait(first).id, first);  // Still retained.
-  const QueryId a = service.Submit(w.queries[1], submit).value();
-  const QueryId b = service.Submit(w.queries[2], submit).value();
+  const QueryId a = SubmitQuery(service, w.queries[1], submit).value();
+  const QueryId b = SubmitQuery(service, w.queries[2], submit).value();
   service.Wait(a);
   service.Wait(b);
   // Two newer results pushed `first` out of the retention window.
@@ -238,10 +240,10 @@ TEST(OptimizerServiceTest, ResultRetentionDropsOldestResults) {
 TEST(OptimizerServiceTest, CancelStopsASession) {
   const Workload w = MakeWorkload(/*num_random=*/1, /*random_tables=*/5);
   OptimizerService service(w.catalog, SmallServiceOptions(1));
-  SubmitOptions submit = SmallSubmitOptions();
+  SubmitRequest submit = SmallSubmitRequest();
   submit.max_iterations = 1000000;  // Unreachable: steps clamp at rM.
 
-  StatusOr<QueryId> id = service.Submit(w.queries.back(), submit);
+  StatusOr<QueryId> id = SubmitQuery(service, w.queries.back(), submit);
   ASSERT_TRUE(id.ok());
   EXPECT_TRUE(service.Cancel(id.value()));
   const QueryResult result = service.Wait(id.value());
@@ -256,11 +258,11 @@ TEST(OptimizerServiceTest, CancelStopsASession) {
 TEST(OptimizerServiceTest, DeadlineExpiresSlowQuery) {
   const Workload w = MakeWorkload(/*num_random=*/1, /*random_tables=*/5);
   OptimizerService service(w.catalog, SmallServiceOptions(1));
-  SubmitOptions submit = SmallSubmitOptions();
+  SubmitRequest submit = SmallSubmitRequest();
   submit.deadline_ms = 1e-6;  // Expires before the first step.
 
   const QueryResult result =
-      service.Wait(service.Submit(w.queries.back(), submit).value());
+      service.Wait(SubmitQuery(service, w.queries.back(), submit).value());
   EXPECT_EQ(result.state, QueryState::kExpired);
   EXPECT_EQ(service.stats().expired, 1u);
 }
@@ -272,28 +274,28 @@ TEST(OptimizerServiceTest, RejectsInvalidSubmissions) {
 
   Query bad_table = good;
   bad_table.tables[0].table = 100000;
-  EXPECT_FALSE(service.Submit(bad_table).ok());
+  EXPECT_FALSE(SubmitQuery(service, bad_table).ok());
 
-  SubmitOptions bad_priority = SmallSubmitOptions();
+  SubmitRequest bad_priority = SmallSubmitRequest();
   bad_priority.priority = 0;
-  EXPECT_FALSE(service.Submit(good, bad_priority).ok());
+  EXPECT_FALSE(SubmitQuery(service, good, bad_priority).ok());
 
-  SubmitOptions bad_deadline = SmallSubmitOptions();
+  SubmitRequest bad_deadline = SmallSubmitRequest();
   bad_deadline.deadline_ms = -1.0;
-  EXPECT_FALSE(service.Submit(good, bad_deadline).ok());
+  EXPECT_FALSE(SubmitQuery(service, good, bad_deadline).ok());
 
-  SubmitOptions bad_bounds = SmallSubmitOptions();
+  SubmitRequest bad_bounds = SmallSubmitRequest();
   bad_bounds.iama.initial_bounds = CostVector::Infinite(2);  // Schema is 3.
-  EXPECT_FALSE(service.Submit(good, bad_bounds).ok());
+  EXPECT_FALSE(SubmitQuery(service, good, bad_bounds).ok());
 
   ThreadPool pool(1);
-  SubmitOptions injected_pool = SmallSubmitOptions();
+  SubmitRequest injected_pool = SmallSubmitRequest();
   injected_pool.iama.optimizer.pool = &pool;
-  EXPECT_FALSE(service.Submit(good, injected_pool).ok());
+  EXPECT_FALSE(SubmitQuery(service, good, injected_pool).ok());
 
-  SubmitOptions own_threads = SmallSubmitOptions();
+  SubmitRequest own_threads = SmallSubmitRequest();
   own_threads.iama.optimizer.num_threads = 4;
-  EXPECT_FALSE(service.Submit(good, own_threads).ok());
+  EXPECT_FALSE(SubmitQuery(service, good, own_threads).ok());
 
   EXPECT_EQ(service.stats().submitted, 0u);
 }
@@ -333,7 +335,7 @@ TEST(OptimizerServiceTest, WaitOnUnknownIdReturnsInvalidResult) {
 TEST(OptimizerServiceTest, PriorityAndBoundsOptionsComplete) {
   const Workload w = MakeWorkload(/*num_random=*/2);
   OptimizerService service(w.catalog, SmallServiceOptions(2));
-  SubmitOptions high = SmallSubmitOptions();
+  SubmitRequest high = SmallSubmitRequest();
   high.priority = 3;
   CostVector bounds = CostVector::Infinite(3);
   bounds[1] = 4.0;
@@ -341,7 +343,7 @@ TEST(OptimizerServiceTest, PriorityAndBoundsOptionsComplete) {
 
   std::vector<QueryId> ids;
   for (const Query& q : w.queries) {
-    StatusOr<QueryId> id = service.Submit(q, high);
+    StatusOr<QueryId> id = SubmitQuery(service, q, high);
     ASSERT_TRUE(id.ok());
     ids.push_back(id.value());
   }
@@ -356,12 +358,12 @@ TEST(OptimizerServiceTest, PriorityAndBoundsOptionsComplete) {
 
 TEST(OptimizerServiceTest, DestructionCancelsPendingSessions) {
   const Workload w = MakeWorkload(/*num_random=*/2, /*random_tables=*/5);
-  SubmitOptions submit = SmallSubmitOptions();
+  SubmitRequest submit = SmallSubmitRequest();
   submit.max_iterations = 1000000;
   // Destroying a service with queued work must neither hang nor crash.
   OptimizerService service(w.catalog, SmallServiceOptions(2));
   for (const Query& q : w.queries) {
-    ASSERT_TRUE(service.Submit(q, submit).ok());
+    ASSERT_TRUE(SubmitQuery(service, q, submit).ok());
   }
 }
 
@@ -369,13 +371,13 @@ TEST(OptimizerServiceTest, DestructionUnblocksInFlightWaiters) {
   // A thread blocked in Wait() while the service is destroyed must be
   // drained (observing kCancelled), not left touching freed members.
   const Workload w = MakeWorkload(/*num_random=*/1, /*random_tables=*/5);
-  SubmitOptions submit = SmallSubmitOptions();
+  SubmitRequest submit = SmallSubmitRequest();
   submit.max_iterations = 1000000;
   QueryResult observed;
   std::thread waiter;
   {
     OptimizerService service(w.catalog, SmallServiceOptions(1));
-    const QueryId id = service.Submit(w.queries.back(), submit).value();
+    const QueryId id = SubmitQuery(service, w.queries.back(), submit).value();
     waiter = std::thread([&] { observed = service.Wait(id); });
     // Race-free: the waiter registers under the service mutex before
     // blocking, so once observed it is pinned through destruction.
@@ -391,7 +393,7 @@ TEST(OptimizerServiceTest, StressManyConcurrentClients) {
   // (cache hits race with fresh runs) while the scheduler steps.
   const Workload w = MakeWorkload(/*num_random=*/2);
   OptimizerService service(w.catalog, SmallServiceOptions(4));
-  const SubmitOptions submit = SmallSubmitOptions(3);
+  const SubmitRequest submit = SmallSubmitRequest(3);
   std::atomic<int> done{0};
   const int kClients = 4;
   const int kPerClient = 6;
@@ -402,8 +404,8 @@ TEST(OptimizerServiceTest, StressManyConcurrentClients) {
         // i >= 3 resubmits a query this client already completed, so at
         // least kPerClient - 3 submissions per client must hit the cache.
         const Query& q = w.queries[i % 3];
-        StatusOr<QueryId> id =
-            service.Submit(q, submit, [](QueryId, const FrontierSnapshot&) {});
+        StatusOr<QueryId> id = SubmitQuery(
+            service, q, submit, [](QueryId, const FrontierSnapshot&) {});
         ASSERT_TRUE(id.ok());
         const QueryResult r = service.Wait(id.value());
         EXPECT_EQ(r.state, QueryState::kDone);
@@ -429,7 +431,7 @@ TEST(OptimizerServiceTest, StressManyConcurrentClients) {
 // blocker steps normally (tests cancel it to finish).
 class SchedulerGate {
  public:
-  OptimizerService::SnapshotObserver Observer() {
+  SnapshotObserver Observer() {
     return [this](QueryId, const FrontierSnapshot&) {
       std::unique_lock<std::mutex> lock(mu_);
       if (blocked_once_) return;
@@ -463,13 +465,13 @@ class SchedulerGate {
 // duplicates of the leader's query.
 struct CoalescingRig {
   explicit CoalescingRig(const Workload& w)
-      : submit(SmallSubmitOptions()),
+      : submit(SmallSubmitRequest()),
         iterations(submit.iama.schedule.NumLevels()),
         service(w.catalog, SmallServiceOptions(/*threads=*/1)) {
-    SubmitOptions blocker_submit = SmallSubmitOptions();
+    SubmitRequest blocker_submit = SmallSubmitRequest();
     blocker_submit.max_iterations = 1000000;  // Runs until cancelled.
-    blocker = service.Submit(w.queries.back(), blocker_submit,
-                             gate.Observer())
+    blocker = SubmitQuery(service, w.queries.back(), blocker_submit,
+                          gate.Observer())
                   .value();
     gate.AwaitEntered();
   }
@@ -483,7 +485,7 @@ struct CoalescingRig {
   }
 
   SchedulerGate gate;
-  const SubmitOptions submit;
+  const SubmitRequest submit;
   const int iterations;
   OptimizerService service;
   QueryId blocker = kInvalidQueryId;
@@ -498,13 +500,11 @@ TEST(OptimizerServiceCoalescingTest, DuplicateInFlightSubmitCoalesces) {
   std::atomic<int> leader_snaps{0};
   std::atomic<int> dup_snaps{0};
   const QueryId leader =
-      rig.service
-          .Submit(q, rig.submit,
+      SubmitQuery(rig.service, q, rig.submit,
                   [&](QueryId, const FrontierSnapshot&) { ++leader_snaps; })
           .value();
   const QueryId dup =
-      rig.service
-          .Submit(q, rig.submit,
+      SubmitQuery(rig.service, q, rig.submit,
                   [&](QueryId, const FrontierSnapshot&) { ++dup_snaps; })
           .value();
   // The duplicate attached to the in-flight leader instead of queueing a
@@ -545,8 +545,8 @@ TEST(OptimizerServiceCoalescingTest, FollowerCancelLeavesLeaderUnaffected) {
   CoalescingRig rig(w);
   const Query& q = w.queries.front();
 
-  const QueryId leader = rig.service.Submit(q, rig.submit).value();
-  const QueryId dup = rig.service.Submit(q, rig.submit).value();
+  const QueryId leader = SubmitQuery(rig.service, q, rig.submit).value();
+  const QueryId dup = SubmitQuery(rig.service, q, rig.submit).value();
   EXPECT_EQ(rig.service.stats().coalesced, 1u);
   // Cancelling the follower detaches it immediately — no turn needed.
   EXPECT_TRUE(rig.service.Cancel(dup));
@@ -573,8 +573,8 @@ TEST(OptimizerServiceCoalescingTest, LeaderCancelHandsOffToFollower) {
   CoalescingRig rig(w);
   const Query& q = w.queries.front();
 
-  const QueryId leader = rig.service.Submit(q, rig.submit).value();
-  const QueryId dup = rig.service.Submit(q, rig.submit).value();
+  const QueryId leader = SubmitQuery(rig.service, q, rig.submit).value();
+  const QueryId dup = SubmitQuery(rig.service, q, rig.submit).value();
   EXPECT_EQ(rig.service.stats().coalesced, 1u);
   // Cancelling the leader while a follower rides along hands leadership
   // off instead of killing the run.
@@ -609,7 +609,7 @@ TEST(OptimizerServiceCoalescingTest, DuplicateSubmitsRacingCompletion) {
   ServiceOptions opts = SmallServiceOptions(/*threads=*/2);
   opts.num_shards = 2;
   OptimizerService service(w.catalog, opts);
-  const SubmitOptions submit = SmallSubmitOptions(3);
+  const SubmitRequest submit = SmallSubmitRequest(3);
   const int iterations = submit.iama.schedule.NumLevels();
   const Query& q = w.queries.front();
 
@@ -619,7 +619,7 @@ TEST(OptimizerServiceCoalescingTest, DuplicateSubmitsRacingCompletion) {
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&] {
       for (int i = 0; i < kPerClient; ++i) {
-        StatusOr<QueryId> id = service.Submit(q, submit);
+        StatusOr<QueryId> id = SubmitQuery(service, q, submit);
         ASSERT_TRUE(id.ok());
         const QueryResult r = service.Wait(id.value());
         EXPECT_EQ(r.state, QueryState::kDone);
@@ -645,10 +645,10 @@ TEST(OptimizerServiceCoalescingTest, ExpiredFollowerKeepsRunAlive) {
   CoalescingRig rig(w);
   const Query& q = w.queries.front();
 
-  const QueryId leader = rig.service.Submit(q, rig.submit).value();
-  SubmitOptions hurried = rig.submit;
+  const QueryId leader = SubmitQuery(rig.service, q, rig.submit).value();
+  SubmitRequest hurried = rig.submit;
   hurried.deadline_ms = 1e-6;  // Expires before the run's first turn.
-  const QueryId dup = rig.service.Submit(q, hurried).value();
+  const QueryId dup = SubmitQuery(rig.service, q, hurried).value();
   EXPECT_EQ(rig.service.stats().coalesced, 1u);
 
   const int blocker_steps = rig.ReleaseAndFinishBlocker();
@@ -669,18 +669,18 @@ TEST(OptimizerServiceCoalescingTest, MidTurnExpiredFollowerDoesNotRideToDone) {
   // completes the run — not be finalized kDone alongside the leader.
   const Workload w = MakeWorkload(/*num_random=*/0);
   OptimizerService service(w.catalog, SmallServiceOptions(1));
-  SubmitOptions submit = SmallSubmitOptions();
+  SubmitRequest submit = SmallSubmitRequest();
   const int iterations = submit.iama.schedule.NumLevels();
   submit.priority = iterations;  // The whole run is one scheduler turn.
   const Query& q = w.queries.front();
 
-  SubmitOptions hurried = SmallSubmitOptions();
+  SubmitRequest hurried = SmallSubmitRequest();
   hurried.deadline_ms = 1e-6;  // Expired by the first boundary.
   std::atomic<QueryId> follower{kInvalidQueryId};
-  StatusOr<QueryId> leader = service.Submit(
-      q, submit, [&](QueryId, const FrontierSnapshot& s) {
+  StatusOr<QueryId> leader = SubmitQuery(
+      service, q, submit, [&](QueryId, const FrontierSnapshot& s) {
         if (s.iteration == 1) {  // Mid-turn: the run is being stepped.
-          StatusOr<QueryId> dup = service.Submit(q, hurried);
+          StatusOr<QueryId> dup = SubmitQuery(service, q, hurried);
           ASSERT_TRUE(dup.ok());
           follower.store(dup.value());
         }
@@ -708,7 +708,7 @@ TEST(OptimizerServiceApplyBoundsTest, RejectsUnknownIdsAndBadDimensions) {
             StatusCode::kNotFound);
   // Finished id (cache hits finish inside Submit).
   const QueryId done =
-      service.Submit(w.queries.front(), SmallSubmitOptions()).value();
+      SubmitQuery(service, w.queries.front(), SmallSubmitRequest()).value();
   service.Wait(done);
   EXPECT_EQ(service.ApplyBounds(done, CostVector::Infinite(3)).code(),
             StatusCode::kNotFound);
@@ -719,7 +719,7 @@ TEST(OptimizerServiceApplyBoundsTest, TightensInFlightRunAndSkipsCache) {
   CoalescingRig rig(w);
   const Query& q = w.queries.front();
 
-  const QueryId id = rig.service.Submit(q, rig.submit).value();
+  const QueryId id = SubmitQuery(rig.service, q, rig.submit).value();
   // Dimension mismatch is rejected while the query is live.
   EXPECT_EQ(rig.service.ApplyBounds(id, CostVector::Infinite(2)).code(),
             StatusCode::kInvalidArgument);
@@ -736,7 +736,7 @@ TEST(OptimizerServiceApplyBoundsTest, TightensInFlightRunAndSkipsCache) {
   // identical submission re-optimizes and gets the canonical, unbounded
   // frontier.
   const QueryResult again =
-      rig.service.Wait(rig.service.Submit(q, rig.submit).value());
+      rig.service.Wait(SubmitQuery(rig.service, q, rig.submit).value());
   EXPECT_FALSE(again.from_cache);
   EXPECT_FALSE(again.coalesced);
   const FrontierSnapshot reference =
@@ -753,7 +753,7 @@ TEST(OptimizerServiceApplyBoundsTest, BoundsOnFinalStepAreNotDropped) {
   // and steps at least once under them before finishing.
   const Workload w = MakeWorkload(/*num_random=*/0);
   OptimizerService service(w.catalog, SmallServiceOptions(1));
-  const SubmitOptions submit = SmallSubmitOptions();
+  const SubmitRequest submit = SmallSubmitRequest();
   const int iterations = submit.iama.schedule.NumLevels();
   const Query& q = w.queries.front();
 
@@ -762,8 +762,8 @@ TEST(OptimizerServiceApplyBoundsTest, BoundsOnFinalStepAreNotDropped) {
   std::atomic<int> snaps{0};
   std::atomic<bool> fired{false};
   Status applied = Status::OK();  // Ordered by Wait()'s mutex round trip.
-  StatusOr<QueryId> id = service.Submit(
-      q, submit, [&](QueryId qid, const FrontierSnapshot& s) {
+  StatusOr<QueryId> id = SubmitQuery(
+      service, q, submit, [&](QueryId qid, const FrontierSnapshot& s) {
         ++snaps;
         if (s.iteration == iterations && !fired.exchange(true)) {
           applied = service.ApplyBounds(qid, bounds);
@@ -785,8 +785,8 @@ TEST(OptimizerServiceApplyBoundsTest, FollowerBoundsApplyToSharedRun) {
   CoalescingRig rig(w);
   const Query& q = w.queries.front();
 
-  const QueryId leader = rig.service.Submit(q, rig.submit).value();
-  const QueryId dup = rig.service.Submit(q, rig.submit).value();
+  const QueryId leader = SubmitQuery(rig.service, q, rig.submit).value();
+  const QueryId dup = SubmitQuery(rig.service, q, rig.submit).value();
   EXPECT_EQ(rig.service.stats().coalesced, 1u);
   // A coalesced run is one shared interactive session: a follower's
   // bounds drag re-bounds it for every rider and diverges it.
@@ -795,7 +795,7 @@ TEST(OptimizerServiceApplyBoundsTest, FollowerBoundsApplyToSharedRun) {
   ASSERT_TRUE(rig.service.ApplyBounds(dup, bounds).ok());
   // The diverged run stops accepting new followers: a third duplicate
   // starts a fresh run of its own.
-  const QueryId fresh = rig.service.Submit(q, rig.submit).value();
+  const QueryId fresh = SubmitQuery(rig.service, q, rig.submit).value();
   EXPECT_EQ(rig.service.stats().coalesced, 1u);
 
   rig.ReleaseAndFinishBlocker();
@@ -833,14 +833,14 @@ TEST(OptimizerServiceShardingTest, IdleShardsStealQueuedRuns) {
   opts.coalesce_in_flight = false;
   opts.frontier_cache_capacity = 0;  // Every submission optimizes.
   OptimizerService service(w.catalog, opts);
-  const SubmitOptions submit = SmallSubmitOptions();
+  const SubmitRequest submit = SmallSubmitRequest();
   const int iterations = submit.iama.schedule.NumLevels();
   const Query& q = w.queries.front();
 
   const int kRuns = 16;
   std::vector<QueryId> ids;
   for (int i = 0; i < kRuns; ++i) {
-    ids.push_back(service.Submit(q, submit).value());
+    ids.push_back(SubmitQuery(service, q, submit).value());
   }
   const FrontierSnapshot reference = SequentialFinalSnapshot(
       q, w.catalog, SmallServiceOptions(1), submit.iama, iterations);
@@ -870,7 +870,7 @@ void ExpectRefreshReoptimizesOnNewCatalog(int shards) {
   Workload w = MakeWorkload(/*num_random=*/0);
   ServiceOptions service_opts = SmallServiceOptions(/*threads=*/2);
   service_opts.num_shards = shards;
-  const SubmitOptions submit = SmallSubmitOptions();
+  const SubmitRequest submit = SmallSubmitRequest();
   const int iterations = submit.iama.schedule.NumLevels();
   const Query& q = w.queries.front();
   const Catalog old_catalog = w.catalog;  // Pre-drift statistics.
@@ -879,10 +879,10 @@ void ExpectRefreshReoptimizesOnNewCatalog(int shards) {
   const uint64_t v0 = service.catalog_version();
   EXPECT_EQ(v0, old_catalog.version());
 
-  const QueryResult r1 = service.Wait(service.Submit(q, submit).value());
+  const QueryResult r1 = service.Wait(SubmitQuery(service, q, submit).value());
   ASSERT_EQ(r1.state, QueryState::kDone);
   EXPECT_EQ(r1.catalog_version, v0);
-  const QueryResult r2 = service.Wait(service.Submit(q, submit).value());
+  const QueryResult r2 = service.Wait(SubmitQuery(service, q, submit).value());
   EXPECT_TRUE(r2.from_cache);
   EXPECT_EQ(r2.catalog_version, v0);
 
@@ -895,7 +895,7 @@ void ExpectRefreshReoptimizesOnNewCatalog(int shards) {
                                w.catalog.Get(drifted).cardinality * 64.0)
                   .ok());
   const QueryResult still_old =
-      service.Wait(service.Submit(q, submit).value());
+      service.Wait(SubmitQuery(service, q, submit).value());
   EXPECT_TRUE(still_old.from_cache);
   EXPECT_EQ(still_old.catalog_version, v0);
 
@@ -906,7 +906,7 @@ void ExpectRefreshReoptimizesOnNewCatalog(int shards) {
 
   // Resubmission re-optimizes on the new statistics.
   const uint64_t steps_before = service.stats().steps_executed;
-  const QueryResult r3 = service.Wait(service.Submit(q, submit).value());
+  const QueryResult r3 = service.Wait(SubmitQuery(service, q, submit).value());
   ASSERT_EQ(r3.state, QueryState::kDone);
   EXPECT_FALSE(r3.from_cache);
   EXPECT_FALSE(r3.coalesced);
@@ -927,7 +927,7 @@ void ExpectRefreshReoptimizesOnNewCatalog(int shards) {
             FrontierSignature(new_reference.plans));
 
   // The new-generation frontier is cacheable as usual.
-  const QueryResult r4 = service.Wait(service.Submit(q, submit).value());
+  const QueryResult r4 = service.Wait(SubmitQuery(service, q, submit).value());
   EXPECT_TRUE(r4.from_cache);
   EXPECT_EQ(r4.catalog_version, v1);
   ASSERT_EQ(FrontierSignature(r4.frontier.plans),
@@ -958,7 +958,7 @@ TEST(OptimizerServiceRefreshTest, LiveRunFinishesOnPinnedSnapshot) {
   const uint64_t v0 = rig.service.catalog_version();
 
   // Admitted (and pinned) pre-refresh; queued behind the blocker.
-  const QueryId pinned = rig.service.Submit(q, rig.submit).value();
+  const QueryId pinned = SubmitQuery(rig.service, q, rig.submit).value();
 
   const TableId drifted = q.tables.front().table;
   ASSERT_TRUE(w.catalog
@@ -970,7 +970,7 @@ TEST(OptimizerServiceRefreshTest, LiveRunFinishesOnPinnedSnapshot) {
 
   // A post-refresh duplicate must NOT coalesce onto the stale run: it
   // would get old-catalog results under a new-catalog admission.
-  const QueryId fresh = rig.service.Submit(q, rig.submit).value();
+  const QueryId fresh = SubmitQuery(rig.service, q, rig.submit).value();
   EXPECT_EQ(rig.service.stats().coalesced, 0u);
 
   rig.ReleaseAndFinishBlocker();
@@ -1002,7 +1002,7 @@ TEST(OptimizerServiceRefreshTest, LiveRunFinishesOnPinnedSnapshot) {
   // The stale run never filled the cache: only the fresh run's entry is
   // servable, and it carries the new version.
   const QueryResult again =
-      rig.service.Wait(rig.service.Submit(q, rig.submit).value());
+      rig.service.Wait(SubmitQuery(rig.service, q, rig.submit).value());
   EXPECT_TRUE(again.from_cache);
   EXPECT_EQ(again.catalog_version, v1);
   ASSERT_EQ(FrontierSignature(again.frontier.plans),
@@ -1012,16 +1012,16 @@ TEST(OptimizerServiceRefreshTest, LiveRunFinishesOnPinnedSnapshot) {
 TEST(OptimizerServiceRefreshTest, RefreshWithoutMutationIsANoOp) {
   Workload w = MakeWorkload(/*num_random=*/0);
   OptimizerService service(w.catalog, SmallServiceOptions(1));
-  const SubmitOptions submit = SmallSubmitOptions();
+  const SubmitRequest submit = SmallSubmitRequest();
   const Query& q = w.queries.front();
   const uint64_t v0 = service.catalog_version();
-  const QueryResult r1 = service.Wait(service.Submit(q, submit).value());
+  const QueryResult r1 = service.Wait(SubmitQuery(service, q, submit).value());
   ASSERT_EQ(r1.state, QueryState::kDone);
   // No catalog mutation happened: the refresh keeps version, cache, and
   // counters untouched.
   EXPECT_EQ(service.RefreshCatalog(), v0);
   EXPECT_EQ(service.stats().catalog_refreshes, 0u);
-  const QueryResult r2 = service.Wait(service.Submit(q, submit).value());
+  const QueryResult r2 = service.Wait(SubmitQuery(service, q, submit).value());
   EXPECT_TRUE(r2.from_cache);
   EXPECT_EQ(r2.catalog_version, v0);
 }
@@ -1029,7 +1029,7 @@ TEST(OptimizerServiceRefreshTest, RefreshWithoutMutationIsANoOp) {
 TEST(CanonicalQueryKeyTest, IgnoresNamesAliasesAndJoinOrientation) {
   const Catalog catalog = MakeTpchCatalog();
   const Query q = TpchQueryBlocks(catalog).front();
-  const SubmitOptions submit = SmallSubmitOptions();
+  const SubmitRequest submit = SmallSubmitRequest();
   const MetricSchema schema = MetricSchema::Standard3();
   const uint64_t version = catalog.version();
   const std::string base = CanonicalQueryKey(q, schema, submit, version);
@@ -1048,7 +1048,7 @@ TEST(CanonicalQueryKeyTest, DistinguishesResultAffectingChanges) {
   const Catalog catalog = MakeTpchCatalog();
   const std::vector<Query> blocks = TpchQueryBlocks(catalog);
   const Query q = blocks.front();
-  const SubmitOptions submit = SmallSubmitOptions();
+  const SubmitRequest submit = SmallSubmitRequest();
   const MetricSchema schema = MetricSchema::Standard3();
   const uint64_t version = catalog.version();
   const std::string base = CanonicalQueryKey(q, schema, submit, version);
@@ -1057,15 +1057,15 @@ TEST(CanonicalQueryKeyTest, DistinguishesResultAffectingChanges) {
   different_sel.tables[0].predicate_selectivity *= 0.5;
   EXPECT_NE(CanonicalQueryKey(different_sel, schema, submit, version), base);
 
-  SubmitOptions finer = submit;
+  SubmitRequest finer = submit;
   finer.iama.schedule = ResolutionSchedule(7, 1.02, 0.3);
   EXPECT_NE(CanonicalQueryKey(q, schema, finer, version), base);
 
-  SubmitOptions bounded = submit;
+  SubmitRequest bounded = submit;
   bounded.iama.initial_bounds = CostVector::Infinite(3);
   EXPECT_NE(CanonicalQueryKey(q, schema, bounded, version), base);
 
-  SubmitOptions more_iters = submit;
+  SubmitRequest more_iters = submit;
   more_iters.max_iterations = 11;
   EXPECT_NE(CanonicalQueryKey(q, schema, more_iters, version), base);
 

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "catalog/catalog.h"
@@ -12,6 +13,7 @@
 #include "plan/cost_model.h"
 #include "query/generator.h"
 #include "query/query.h"
+#include "service/optimizer_service.h"
 #include "util/rng.h"
 
 namespace moqo {
@@ -51,6 +53,20 @@ inline RandomWorld MakeRandomWorld(uint64_t seed, int num_tables,
       world.query, *world.catalog, std::move(schema), CostModelParams{},
       TinyOperatorOptions(sampling));
   return world;
+}
+
+// Submits `query` under the options in `request` (its query field is
+// overwritten), optionally with a synchronous observer, and returns the
+// ticket: shorthand for the many tests that need only the id.
+inline StatusOr<QueryId> SubmitQuery(OptimizerService& service,
+                                     const Query& query,
+                                     SubmitRequest request = {},
+                                     SnapshotObserver observer = nullptr) {
+  request.query = query;
+  if (observer != nullptr) request.observer = std::move(observer);
+  StatusOr<SubmitResponse> response = service.Submit(std::move(request));
+  if (!response.ok()) return response.status();
+  return response.value().id;
 }
 
 inline std::vector<CostVector> CostsOf(
