@@ -10,7 +10,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -22,7 +21,6 @@
 #include "plan/cost_model.h"
 #include "query/tpch_queries.h"
 #include "util/stats.h"
-#include "util/thread_pool.h"
 
 namespace moqo {
 namespace bench {
@@ -65,25 +63,14 @@ struct InvocationTimes {
 
 // Runs the IAMA invocation series r = 0..rM (no user interaction, bounds
 // fixed to infinity — the paper's evaluation scenario) and returns the
-// per-invocation times. `num_threads` > 1 enables the optimizer's
-// parallel phase 2.
+// per-invocation times.
 inline InvocationTimes RunIamaSeries(const PlanFactory& factory,
-                                     const ResolutionSchedule& schedule,
-                                     int num_threads = 1) {
+                                     const ResolutionSchedule& schedule) {
   const CostVector inf =
       CostVector::Infinite(factory.cost_model().schema().dims());
   InvocationTimes times;
-  // Spawn the pool outside the timed region: thread creation is OS
-  // overhead the single-threaded run never pays, and it would otherwise
-  // bias the scaling numbers.
-  std::unique_ptr<ThreadPool> pool;
-  OptimizerOptions options;
-  if (num_threads > 1) {
-    pool = std::make_unique<ThreadPool>(num_threads);
-    options.pool = pool.get();
-  }
   Timer construction;
-  IncrementalOptimizer optimizer(factory, schedule, inf, options);
+  IncrementalOptimizer optimizer(factory, schedule, inf);
   double carry = construction.ElapsedMs();  // Scan seeding joins inv 1.
   for (int r = 0; r <= schedule.MaxResolution(); ++r) {
     Timer t;
@@ -97,13 +84,10 @@ inline InvocationTimes RunIamaSeries(const PlanFactory& factory,
 // Runs the memoryless series: the same sequence of result plan sets, each
 // produced from scratch.
 inline InvocationTimes RunMemorylessSeries(const PlanFactory& factory,
-                                           const ResolutionSchedule& schedule,
-                                           int num_threads = 1) {
+                                           const ResolutionSchedule& schedule) {
   const CostVector inf =
       CostVector::Infinite(factory.cost_model().schema().dims());
-  std::unique_ptr<ThreadPool> pool;
-  if (num_threads > 1) pool = std::make_unique<ThreadPool>(num_threads);
-  const MemorylessDriver driver(factory, schedule, pool.get());
+  const MemorylessDriver driver(factory, schedule);
   InvocationTimes times;
   for (int r = 0; r <= schedule.MaxResolution(); ++r) {
     Timer t;
@@ -117,16 +101,13 @@ inline InvocationTimes RunMemorylessSeries(const PlanFactory& factory,
 // Runs the one-shot algorithm: a single invocation at the target
 // precision.
 inline InvocationTimes RunOneShotOnce(const PlanFactory& factory,
-                                      const ResolutionSchedule& schedule,
-                                      int num_threads = 1) {
+                                      const ResolutionSchedule& schedule) {
   const CostVector inf =
       CostVector::Infinite(factory.cost_model().schema().dims());
-  std::unique_ptr<ThreadPool> pool;
-  if (num_threads > 1) pool = std::make_unique<ThreadPool>(num_threads);
   InvocationTimes times;
   Timer t;
   const OneShotResult result =
-      RunOneShot(factory, schedule.alpha_target(), inf, pool.get());
+      RunOneShot(factory, schedule.alpha_target(), inf);
   (void)result;
   times.ms.push_back(t.ElapsedMs());
   return times;

@@ -186,7 +186,6 @@ int main(int argc, char** argv) {
 
   Catalog catalog = MakeTpchCatalog();
   ServiceOptions service_options;
-  service_options.num_threads = 2;
   service_options.num_shards = 2;
   service_options.max_inflight_runs = max_inflight;
   OptimizerService service(catalog, service_options);

@@ -1,6 +1,6 @@
 // bench_service_throughput — service-level scaling study: queries/sec and
-// p99 time-to-first-frontier as functions of scheduler shard count and
-// the number of in-flight queries, at a fixed total worker budget.
+// p99 time-to-first-frontier as functions of scheduler shard count (one
+// thread each) and the number of in-flight queries.
 //
 // The workload is 10-table *overlapping-but-distinct* queries: every
 // query embeds the same 7-table chain core (same table order, same
@@ -31,8 +31,7 @@
 // one, i.e. the restart scenario `optimizerd --store-path` ships).
 //
 // Usage:
-//   ./build/bench_service_throughput [threads] [--full] [--store-path F]
-//     threads       total worker budget shared by all shards (default 8)
+//   ./build/bench_service_throughput [--full] [--store-path F]
 //     --full        larger workload + wider sweep (machine-scale)
 //     --store-path  fragment-store log file for the persistence study
 //                   (default BENCH_service_store.log in the working
@@ -138,12 +137,10 @@ struct ConfigResult {
 // store to that log — and, when the file already holds a previous
 // service's fragments, boots disk-warm by replaying it.
 ConfigResult RunConfig(const Catalog& catalog,
-                       const std::vector<Query>& workload, int threads,
-                       int shards, size_t inflight, int levels,
+                       const std::vector<Query>& workload, int shards, size_t inflight, int levels,
                        size_t fragment_mb, bool warm,
                        const std::string& store_path = "") {
   ServiceOptions service_options;
-  service_options.num_threads = threads;
   service_options.num_shards = shards;
   service_options.frontier_cache_capacity = 0;  // Measure real work.
   service_options.coalesce_in_flight = false;   // Every submission runs.
@@ -233,7 +230,6 @@ ConfigResult RunConfig(const Catalog& catalog,
 int main(int argc, char** argv) {
   using namespace moqo;
 
-  int threads = 8;
   bool full = false;
   std::string store_path = "BENCH_service_store.log";
   for (int i = 1; i < argc; ++i) {
@@ -242,13 +238,10 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--store-path") == 0 && i + 1 < argc) {
       store_path = argv[++i];
     } else {
-      threads = std::atoi(argv[i]);
-      if (threads < 1) {
-        std::fprintf(stderr,
-                     "usage: bench_service_throughput [threads] [--full] "
-                     "[--store-path FILE]\n");
-        return 1;
-      }
+      std::fprintf(stderr,
+                   "usage: bench_service_throughput [--full] "
+                   "[--store-path FILE]\n");
+      return 1;
     }
   }
 
@@ -265,7 +258,7 @@ int main(int argc, char** argv) {
       OverlappingWorkload(&catalog, rng, num_queries);
 
   std::vector<int> shard_counts = {1, 2, 4};
-  if (full && threads >= 8) shard_counts.push_back(8);
+  if (full) shard_counts.push_back(8);
   std::vector<size_t> inflights = {1, 4,
                                    static_cast<size_t>(num_queries)};
   // Each configuration runs without the fragment store, with a cold
@@ -280,15 +273,14 @@ int main(int argc, char** argv) {
       {0, false}, {64, false}, {64, true}};
 
   std::printf("# service throughput: %zu overlapping queries x %d tables "
-              "per configuration, %d worker threads total\n",
-              workload.size(), kNumTables, threads);
+              "per configuration\n",
+              workload.size(), kNumTables);
   std::printf("%7s %9s %8s %5s %8s %8s %8s %12s %12s %10s %8s %9s %9s\n",
               "shards", "inflight", "frag_mb", "warm", "queries", "wall_s",
               "qps", "ttff_p50_ms", "ttff_p99_ms", "steps", "steals",
               "frag_hit%", "frag_pub");
 
   std::string json = "{\n  \"bench\": \"service_throughput\",\n";
-  json += "  \"total_threads\": " + std::to_string(threads) + ",\n";
   json += "  \"num_tables\": " + std::to_string(kNumTables) + ",\n";
   json += "  \"levels\": " + std::to_string(levels) + ",\n";
   json += "  \"workload\": \"overlapping_chain_core7_private3\",\n";
@@ -296,12 +288,11 @@ int main(int argc, char** argv) {
           ",\n  \"configs\": [";
   bool first_row = true;
   for (int shards : shard_counts) {
-    if (shards > threads) continue;  // Do not oversubscribe the budget.
     for (size_t inflight : inflights) {
       for (const FragmentMode& mode : fragment_modes) {
         const ConfigResult r =
-            RunConfig(catalog, workload, threads, shards, inflight, levels,
-                      mode.mb, mode.warm);
+            RunConfig(catalog, workload, shards, inflight, levels, mode.mb,
+                      mode.warm);
         const double qps = r.wall_s > 0.0 ? r.queries / r.wall_s : 0.0;
         const double p50 = Percentile(r.ttff_ms, 0.50);
         const double p99 = Percentile(r.ttff_ms, 0.99);
@@ -353,7 +344,7 @@ int main(int argc, char** argv) {
   // fragment store. disk_warm is the restart scenario: the pre-pass
   // service writes the log and is destroyed (its destructor drains the
   // write-behind queue), then a fresh service replays it.
-  const int p_shards = std::min(2, threads);
+  const int p_shards = 2;
   const size_t p_inflight = 1;  // Serial waves: seeding is never racing
                                 // a publish, so each mode's hit rate is
                                 // its honest ceiling.
@@ -367,20 +358,19 @@ int main(int argc, char** argv) {
   std::vector<PersistenceRow> rows;
   // Cold: empty log (still persisting — the write path is part of the
   // measured cost).
-  rows.push_back({"cold", RunConfig(catalog, workload, threads, p_shards,
-                                    p_inflight, levels, p_mb,
-                                    /*warm=*/false, store_path)});
+  rows.push_back({"cold", RunConfig(catalog, workload, p_shards, p_inflight,
+                                    levels, p_mb, /*warm=*/false,
+                                    store_path)});
   std::remove(store_path.c_str());
   // DRAM-warm: same-process warm pre-pass, the in-memory ceiling.
   rows.push_back({"dram_warm",
-                  RunConfig(catalog, workload, threads, p_shards, p_inflight,
-                            levels, p_mb, /*warm=*/true, store_path)});
+                  RunConfig(catalog, workload, p_shards, p_inflight, levels,
+                            p_mb, /*warm=*/true, store_path)});
   std::remove(store_path.c_str());
   // Disk-warm: a separate service writes the log and dies; the measured
   // service boots by replaying it.
   {
     ServiceOptions prepass_options;
-    prepass_options.num_threads = threads;
     prepass_options.num_shards = p_shards;
     prepass_options.frontier_cache_capacity = 0;
     prepass_options.coalesce_in_flight = false;
@@ -401,8 +391,8 @@ int main(int argc, char** argv) {
     // Destruction flushes the write-behind queue into the log.
   }
   rows.push_back({"disk_warm",
-                  RunConfig(catalog, workload, threads, p_shards, p_inflight,
-                            levels, p_mb, /*warm=*/false, store_path)});
+                  RunConfig(catalog, workload, p_shards, p_inflight, levels,
+                            p_mb, /*warm=*/false, store_path)});
   std::remove(store_path.c_str());
 
   std::printf("# persistence: fragment store boot states "

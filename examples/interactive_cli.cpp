@@ -2,11 +2,9 @@
 // paper's Figure 1 interface a terminal offers.
 //
 // Usage:
-//   ./build/interactive_cli [--threads N] [tpch-block-name]   (default: q5)
+//   ./build/interactive_cli [tpch-block-name]   (default: q5)
 //
-// --threads N runs the optimizer's phase-2 enumeration on N threads (the
-// frontier is identical to the single-threaded run, just produced faster
-// on multi-core machines).
+// Any argument starting with "--" is an unknown flag and exits 2.
 //
 // Commands (read from stdin):
 //   step               run one optimizer invocation and refine resolution
@@ -54,24 +52,15 @@ void Show(const IamaSession& session, const MetricSchema& schema) {
 
 int main(int argc, char** argv) {
   std::string block_name = "q5";
-  int num_threads = 1;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--threads") {
-      if (i + 1 >= argc || (num_threads = std::atoi(argv[++i])) < 1) {
-        std::fprintf(stderr,
-                     "usage: interactive_cli [--threads N] [block]\n");
-        return 1;
-      }
-    } else if (arg.rfind("--", 0) == 0) {
+    if (arg.rfind("--", 0) == 0) {
       std::fprintf(stderr,
-                   "unknown flag '%s'\n"
-                   "usage: interactive_cli [--threads N] [block]\n",
+                   "unknown flag '%s'\nusage: interactive_cli [block]\n",
                    arg.c_str());
-      return 1;
-    } else {
-      block_name = arg;
+      return 2;
     }
+    block_name = arg;
   }
   const Catalog catalog = MakeTpchCatalog();
   Query query;
@@ -91,13 +80,11 @@ int main(int argc, char** argv) {
   const PlanFactory factory(query, catalog, schema);
   IamaOptions options;
   options.schedule = ResolutionSchedule(12, 1.01, 0.2);
-  options.optimizer.num_threads = num_threads;
   IamaSession session(factory, options);
 
-  std::printf(
-      "interactive MOQO on TPC-H %s (%d tables, %d threads); metrics: %s\n",
-      query.name.c_str(), query.NumTables(), num_threads,
-      schema.ToString().c_str());
+  std::printf("interactive MOQO on TPC-H %s (%d tables); metrics: %s\n",
+              query.name.c_str(), query.NumTables(),
+              schema.ToString().c_str());
   std::printf("commands: step | bound <m> <v> | unbound <m> | show | "
               "plan <row> | select <row> | quit\n\n");
 

@@ -33,11 +33,15 @@
 //                   probe tests/optimizerd_smoke.sh uses to compare a
 //                   crash-recovered warm store against a cold run
 //
+// Numeric flags must be whole integers (a number >= 0 for --deadline-ms)
+// within their range; anything else names the flag and exits 2.
+//
 // Exit status: 0 when every query either finished or was rejected with a
-// taxonomy code; 1 on any protocol/transport error.
+// taxonomy code; 1 on any protocol/transport error; 2 on a bad flag.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -47,6 +51,7 @@
 #include <vector>
 
 #include "catalog/tpch.h"
+#include "flags.h"
 #include "net/client.h"
 #include "query/query.h"
 #include "util/rng.h"
@@ -147,23 +152,23 @@ int main(int argc, char** argv) {
     if (arg == "--host") {
       host = next();
     } else if (arg == "--port") {
-      port = std::atoi(next());
+      port = static_cast<int>(ParseInt(arg, next(), 1, 65535));
     } else if (arg == "--sessions") {
-      sessions = std::atoi(next());
+      sessions = static_cast<int>(ParseInt(arg, next(), 1, 4096));
     } else if (arg == "--queries") {
-      queries = std::atoi(next());
+      queries = static_cast<int>(ParseInt(arg, next(), 0, INT_MAX));
     } else if (arg == "--tenants") {
-      tenants = std::atoi(next());
+      tenants = static_cast<int>(ParseInt(arg, next(), 1, INT_MAX));
     } else if (arg == "--priority") {
-      priority = std::atoi(next());
+      priority = static_cast<int>(ParseInt(arg, next(), 1, INT_MAX));
     } else if (arg == "--deadline-ms") {
-      deadline_ms = std::atof(next());
+      deadline_ms = ParseNonNegative(arg, next());
     } else if (arg == "--max-iterations") {
-      max_iterations = std::atoi(next());
+      max_iterations = static_cast<int>(ParseInt(arg, next(), 0, INT_MAX));
     } else if (arg == "--retries") {
-      retries = std::atoi(next());
+      retries = static_cast<int>(ParseInt(arg, next(), 0, INT_MAX));
     } else if (arg == "--seed") {
-      seed = static_cast<uint64_t>(std::atoll(next()));
+      seed = static_cast<uint64_t>(ParseInt(arg, next(), 0, LLONG_MAX));
     } else if (arg == "--json") {
       json = true;
     } else if (arg == "--digest") {
@@ -173,7 +178,7 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (port <= 0) {
+  if (port == 0) {
     std::fprintf(stderr, "loadgen: --port is required\n");
     return 2;
   }
@@ -204,7 +209,7 @@ int main(int argc, char** argv) {
       for (int q = 0; q < queries; ++q) {
         SubmitRequest request;
         request.query = MakeQuery(&rng, s, q);
-        request.tenant = "t" + std::to_string(s % std::max(1, tenants));
+        request.tenant = "t" + std::to_string(s % tenants);
         request.priority = priority;
         request.deadline_ms = deadline_ms;
         request.max_iterations = max_iterations;

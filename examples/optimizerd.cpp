@@ -4,7 +4,7 @@
 // graceful drain for rolling restarts.
 //
 // Usage:
-//   ./build/optimizerd [--port P] [--host H] [--threads N] [--shards N]
+//   ./build/optimizerd [--port P] [--host H] [--shards N]
 //                      [--max-inflight N] [--max-iterations N]
 //                      [--shed-hint-ms D]
 //                      [--quota TENANT=MAX[:WEIGHT]] [--default-quota MAX[:WEIGHT]]
@@ -14,8 +14,7 @@
 //
 //   --port P           TCP port; 0 (default) picks an ephemeral port
 //   --host H           bind address (default 127.0.0.1)
-//   --threads N        worker budget across shards (default 4)
-//   --shards N         scheduler shards (default 2)
+//   --shards N         scheduler shards, one thread each (default 4)
 //   --max-inflight N   run-count bound; beyond it submits are load-shed
 //                      with kShedding + retry-after (default 64; 0 = off)
 //   --max-iterations N per-submission step ceiling; larger requests are
@@ -53,50 +52,20 @@
 // clients, then the process exits 0 with a stats summary.
 #include <signal.h>
 
-#include <cerrno>
 #include <climits>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 
 #include "catalog/tpch.h"
+#include "flags.h"
 #include "net/server.h"
 #include "service/optimizer_service.h"
 
 using namespace moqo;
 
 namespace {
-
-// Parses all of `text` as a base-10 integer in [lo, hi]; anything else
-// (empty, trailing bytes, out of range) names `flag` and exits 2.
-long long ParseInt(const std::string& flag, const std::string& text,
-                   long long lo, long long hi) {
-  errno = 0;
-  char* end = nullptr;
-  const long long v = std::strtoll(text.c_str(), &end, 10);
-  if (text.empty() || errno != 0 || *end != '\0' || v < lo || v > hi) {
-    std::fprintf(stderr, "%s wants an integer in [%lld, %lld], got '%s'\n",
-                 flag.c_str(), lo, hi, text.c_str());
-    std::exit(2);
-  }
-  return v;
-}
-
-// Parses all of `text` as a finite number >= 0, or exits 2 like ParseInt.
-double ParseNonNegative(const std::string& flag, const std::string& text) {
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(text.c_str(), &end);
-  if (text.empty() || errno != 0 || *end != '\0' || !std::isfinite(v) ||
-      v < 0.0) {
-    std::fprintf(stderr, "%s wants a number >= 0, got '%s'\n", flag.c_str(),
-                 text.c_str());
-    std::exit(2);
-  }
-  return v;
-}
 
 // Parses "MAX" or "MAX:WEIGHT" into a TenantQuota.
 TenantQuota ParseQuota(const std::string& flag, const std::string& spec) {
@@ -111,15 +80,11 @@ TenantQuota ParseQuota(const std::string& flag, const std::string& spec) {
   return q;
 }
 
-// Megabyte budgets are shifted into bytes; 1 TiB keeps the shift exact.
-constexpr long long kMaxBudgetMb = 1LL << 20;
-
 }  // namespace
 
 int main(int argc, char** argv) {
   ServiceOptions service_options;
-  service_options.num_threads = 4;
-  service_options.num_shards = 2;
+  service_options.num_shards = 4;
   service_options.max_inflight_runs = 64;
   service_options.max_iterations_limit = 100000;
   service_options.fragment_cache_bytes = 16u << 20;
@@ -139,9 +104,6 @@ int main(int argc, char** argv) {
           static_cast<uint16_t>(ParseInt(arg, next(), 0, 65535));
     } else if (arg == "--host") {
       server_options.host = next();
-    } else if (arg == "--threads") {
-      service_options.num_threads =
-          static_cast<int>(ParseInt(arg, next(), 1, 1024));
     } else if (arg == "--shards") {
       service_options.num_shards =
           static_cast<int>(ParseInt(arg, next(), 1, 1024));

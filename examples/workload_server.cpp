@@ -1,16 +1,14 @@
 // workload_server — replays a mixed multi-query stream through the
 // OptimizerService: every TPC-H join block plus a batch of random-topology
-// queries, all optimized concurrently on one shared worker pool.
+// queries, all optimized concurrently across the scheduler shards.
 //
 // Usage:
-//   ./build/workload_server [--threads N] [--shards N] [--random N]
-//                           [--repeat N] [--deadline-ms D]
-//                           [--fragment-cache-mb M] [--refresh-drift F]
-//                           [--store-path FILE]
+//   ./build/workload_server [--shards N] [--random N] [--repeat N]
+//                           [--deadline-ms D] [--fragment-cache-mb M]
+//                           [--refresh-drift F] [--store-path FILE]
 //
-//   --threads N      total worker budget across all shards (default 4)
-//   --shards N       scheduler shards, each with its own run queue and
-//                    pool partition (default 2)
+//   --shards N       scheduler shards, each one thread with its own run
+//                    queue (default 4)
 //   --random N       number of random-topology queries mixed in (default 8)
 //   --repeat N       how many times the stream is replayed (default 2);
 //                    duplicates still in flight coalesce onto the running
@@ -38,6 +36,10 @@
 //                    at startup — rerunning with the same path starts
 //                    warm — and a tiering counter line joins the summary
 //
+// Numeric flags must be whole integers (numbers >= 0 for --deadline-ms
+// and --refresh-drift) within their range; anything else, and any
+// unknown flag, exits 2.
+//
 // Prints one line per finished query (state, iterations, frontier size,
 // time to first frontier) and a summary with queries/sec, p50/p99
 // time-to-first-frontier, cache hits, catalog refreshes, and
@@ -53,6 +55,7 @@
 #include <vector>
 
 #include "catalog/tpch.h"
+#include "flags.h"
 #include "query/generator.h"
 #include "query/tpch_queries.h"
 #include "service/optimizer_service.h"
@@ -109,46 +112,41 @@ const char* StateName(QueryState s) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  int threads = 4;
-  int shards = 2;
+  int shards = 4;
   int num_random = 8;
   int repeat = 2;
   double deadline_ms = 0.0;
-  int fragment_cache_mb = 16;
+  long long fragment_cache_mb = 16;
   double refresh_drift = 0.0;
   std::string store_path;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    const bool has_next = i + 1 < argc;
-    if (arg == "--threads" && has_next) {
-      threads = std::atoi(argv[++i]);
-    } else if (arg == "--shards" && has_next) {
-      shards = std::atoi(argv[++i]);
-    } else if (arg == "--random" && has_next) {
-      num_random = std::atoi(argv[++i]);
-    } else if (arg == "--repeat" && has_next) {
-      repeat = std::atoi(argv[++i]);
-    } else if (arg == "--deadline-ms" && has_next) {
-      deadline_ms = std::atof(argv[++i]);
-    } else if (arg == "--fragment-cache-mb" && has_next) {
-      fragment_cache_mb = std::atoi(argv[++i]);
-    } else if (arg == "--refresh-drift" && has_next) {
-      refresh_drift = std::atof(argv[++i]);
-    } else if (arg == "--store-path" && has_next) {
-      store_path = argv[++i];
-    } else {
+    if (i + 1 >= argc) {
       std::fprintf(stderr,
-                   "usage: workload_server [--threads N] [--shards N] "
-                   "[--random N] [--repeat N] [--deadline-ms D] "
-                   "[--fragment-cache-mb M] [--refresh-drift F] "
-                   "[--store-path FILE]\n");
-      return 1;
+                   "usage: workload_server [--shards N] [--random N] "
+                   "[--repeat N] [--deadline-ms D] [--fragment-cache-mb M] "
+                   "[--refresh-drift F] [--store-path FILE]\n");
+      return 2;
     }
-  }
-  if (threads < 1 || shards < 1 || num_random < 0 || repeat < 1 ||
-      deadline_ms < 0.0 || fragment_cache_mb < 0 || refresh_drift < 0.0) {
-    std::fprintf(stderr, "invalid flag value\n");
-    return 1;
+    const char* value = argv[++i];
+    if (arg == "--shards") {
+      shards = static_cast<int>(ParseInt(arg, value, 1, 1024));
+    } else if (arg == "--random") {
+      num_random = static_cast<int>(ParseInt(arg, value, 0, 4096));
+    } else if (arg == "--repeat") {
+      repeat = static_cast<int>(ParseInt(arg, value, 1, 4096));
+    } else if (arg == "--deadline-ms") {
+      deadline_ms = ParseNonNegative(arg, value);
+    } else if (arg == "--fragment-cache-mb") {
+      fragment_cache_mb = ParseInt(arg, value, 0, kMaxBudgetMb);
+    } else if (arg == "--refresh-drift") {
+      refresh_drift = ParseNonNegative(arg, value);
+    } else if (arg == "--store-path") {
+      store_path = value;
+    } else {
+      std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
+      return 2;
+    }
   }
 
   // Build the whole workload before the service starts: the service reads
@@ -172,7 +170,6 @@ int main(int argc, char** argv) {
   }
 
   ServiceOptions service_options;
-  service_options.num_threads = threads;
   service_options.num_shards = shards;
   service_options.fragment_cache_bytes =
       static_cast<size_t>(fragment_cache_mb) << 20;
@@ -193,9 +190,9 @@ int main(int argc, char** argv) {
   submit.iama.schedule = ResolutionSchedule::Moderate(5);
   submit.deadline_ms = deadline_ms;
 
-  std::printf("workload_server: %zu queries x %d replays, %d threads x %d "
-              "shards, deadline %s\n\n",
-              stream.size(), repeat, threads, shards,
+  std::printf("workload_server: %zu queries x %d replays, %d shards, "
+              "deadline %s\n\n",
+              stream.size(), repeat, shards,
               deadline_ms > 0.0
                   ? (std::to_string(deadline_ms) + " ms").c_str()
                   : "none");

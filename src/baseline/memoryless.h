@@ -8,8 +8,6 @@
 #ifndef MOQO_BASELINE_MEMORYLESS_H_
 #define MOQO_BASELINE_MEMORYLESS_H_
 
-#include <memory>
-
 #include "baseline/one_shot.h"
 #include "core/resolution.h"
 
@@ -17,16 +15,13 @@ namespace moqo {
 
 class MemorylessDriver {
  public:
-  // `pool`, when non-null, parallelizes each invocation's enumeration
-  // (see RunOneShot); it must outlive the driver.
-  MemorylessDriver(const PlanFactory& factory, ResolutionSchedule schedule,
-                   ThreadPool* pool = nullptr)
-      : factory_(factory), schedule_(schedule), pool_(pool) {}
+  MemorylessDriver(const PlanFactory& factory, ResolutionSchedule schedule)
+      : factory_(factory), schedule_(schedule) {}
 
   // Runs one invocation for resolution level r (from scratch) and returns
   // its full result. Bounds semantics match IAMA's optimizer invocation.
   OneShotResult RunInvocation(int r, const CostVector& bounds) const {
-    return RunOneShot(factory_, schedule_.Alpha(r), bounds, pool_);
+    return RunOneShot(factory_, schedule_.Alpha(r), bounds);
   }
 
   const ResolutionSchedule& schedule() const { return schedule_; }
@@ -34,7 +29,6 @@ class MemorylessDriver {
  private:
   const PlanFactory& factory_;
   ResolutionSchedule schedule_;
-  ThreadPool* pool_;
 };
 
 }  // namespace moqo

@@ -28,24 +28,10 @@ void InsertPruned(const PlanArena& arena, std::vector<PlanId>& set,
   set.push_back(id);
 }
 
-// One bounds-respecting join alternative buffered by a parallel worker;
-// appended to the arena and pruned during the ordered post-barrier merge.
-struct PendingJoin {
-  PlanId left = 0;
-  PlanId right = 0;
-  OperatorDesc op;
-  OpCost op_cost;
-};
-
-struct LevelBuffer {
-  std::vector<PendingJoin> joins;
-  uint64_t plans_generated = 0;
-};
-
 }  // namespace
 
 OneShotResult RunOneShot(const PlanFactory& factory, double alpha,
-                         const CostVector& bounds, ThreadPool* pool) {
+                         const CostVector& bounds) {
   MOQO_CHECK(alpha >= 1.0);
   const int n = factory.NumTables();
   const JoinGraph& graph = factory.graph();
@@ -66,12 +52,10 @@ OneShotResult RunOneShot(const PlanFactory& factory, double alpha,
     });
   }
 
-  // Joins, bottom-up over connected subsets, grouped by cardinality. The
-  // per-level sharding mirrors the incremental optimizer's parallel
-  // phase 2: workers enumerate and buffer, the main thread merges in
-  // canonical mask order, so results match the serial run exactly.
-  std::vector<std::vector<TableSet>> by_size(static_cast<size_t>(n) + 1);
+  // Joins, bottom-up over connected subsets in increasing cardinality, so
+  // every split's sub-plan lists are final before q consumes them.
   const uint32_t full = TableSet::Full(n).mask();
+  std::vector<std::vector<TableSet>> by_size(static_cast<size_t>(n) + 1);
   for (uint32_t mask = 1; mask <= full; ++mask) {
     const TableSet q(mask);
     if (q.Count() >= 2 && graph.IsConnected(q)) {
@@ -79,13 +63,9 @@ OneShotResult RunOneShot(const PlanFactory& factory, double alpha,
     }
   }
 
-  for (int k = 2; k <= n; ++k) {
-    const std::vector<TableSet>& level = by_size[static_cast<size_t>(k)];
-    if (level.empty()) continue;
-
-    // Enumerates table set q's join alternatives against the lower
-    // levels' result lists (read-only during the level).
-    const auto enumerate = [&](TableSet q, LevelBuffer* out) {
+  for (const std::vector<TableSet>& level : by_size) {
+    for (const TableSet q : level) {
+      std::vector<PlanId>& set = result.plans_by_mask[q.mask()];
       for (SubsetIter split(q); !split.Done(); split.Next()) {
         const TableSet q1 = split.Subset();
         const TableSet q2 = split.Complement();
@@ -94,44 +74,21 @@ OneShotResult RunOneShot(const PlanFactory& factory, double alpha,
         const std::vector<PlanId>& p2 = result.plans_by_mask[q2.mask()];
         for (PlanId a : p1) {
           for (PlanId b : p2) {
-            // References are stable: the arena only grows at the merge,
-            // after the level's enumeration finished.
-            const PlanNode& left = result.arena.at(a);
-            const PlanNode& right = result.arena.at(b);
+            // Copy the nodes: the callback below appends to the arena,
+            // which may reallocate and invalidate references into it.
+            const PlanNode left = result.arena.at(a);
+            const PlanNode right = result.arena.at(b);
             factory.ForEachJoin(
-                left, right,
-                [&](const OperatorDesc& op, const OpCost& oc) {
-                  ++out->plans_generated;
+                left, right, [&](const OperatorDesc& op, const OpCost& oc) {
+                  ++result.plans_generated;
                   if (!RespectsBounds(oc.cost, bounds)) return;
-                  out->joins.push_back({a, b, op, oc});
+                  const PlanId id = result.arena.AddJoin(
+                      q, a, b, op, oc.cost, oc.output_rows, oc.order);
+                  InsertPruned(result.arena, set, id, oc.cost, oc.order,
+                               alpha);
                 });
           }
         }
-      }
-    };
-
-    std::vector<LevelBuffer> buffers(level.size());
-    if (pool != nullptr) {
-      pool->ParallelFor(level.size(), [&](size_t j) {
-        enumerate(level[j], &buffers[j]);
-      });
-    } else {
-      for (size_t j = 0; j < level.size(); ++j) {
-        enumerate(level[j], &buffers[j]);
-      }
-    }
-
-    for (size_t j = 0; j < level.size(); ++j) {
-      const TableSet q = level[j];
-      LevelBuffer& buf = buffers[j];
-      result.plans_generated += buf.plans_generated;
-      std::vector<PlanId>& set = result.plans_by_mask[q.mask()];
-      for (const PendingJoin& pj : buf.joins) {
-        const PlanId id = result.arena.AddJoin(
-            q, pj.left, pj.right, pj.op, pj.op_cost.cost,
-            pj.op_cost.output_rows, pj.op_cost.order);
-        InsertPruned(result.arena, set, id, pj.op_cost.cost,
-                     pj.op_cost.order, alpha);
       }
     }
   }

@@ -20,7 +20,6 @@
 #include "plan/arena.h"
 #include "plan/cost_model.h"
 #include "util/table_set.h"
-#include "util/thread_pool.h"
 
 namespace moqo {
 
@@ -39,13 +38,9 @@ struct OneShotResult {
 };
 
 // Runs the one-shot DP with precision factor `alpha` (>= 1; 1 = exact
-// dominance pruning) and cost bounds `bounds`. When `pool` is non-null,
-// each cardinality level's table sets are enumerated in parallel on it
-// (same shard / barrier / ordered-merge scheme as the incremental
-// optimizer's phase 2, and the same results as the serial run).
+// dominance pruning) and cost bounds `bounds`.
 OneShotResult RunOneShot(const PlanFactory& factory, double alpha,
-                         const CostVector& bounds,
-                         ThreadPool* pool = nullptr);
+                         const CostVector& bounds);
 
 }  // namespace moqo
 

@@ -132,8 +132,8 @@ struct IamaOptions {
   ResolutionSchedule schedule = ResolutionSchedule::Moderate(5);
   /// Default bounds (Algorithm 1 line 5); unset = unbounded.
   std::optional<CostVector> initial_bounds;
-  /// Per-invocation optimizer knobs (pruning design, threading, pool,
-  /// cross-query fragment sharing via OptimizerOptions::fragment_store /
+  /// Per-invocation optimizer knobs (pruning design, cross-query
+  /// fragment sharing via OptimizerOptions::fragment_store /
   /// OptimizerOptions::fragment_publish).
   OptimizerOptions optimizer;
 };
@@ -175,14 +175,6 @@ class IamaSession {
   /// paper §4.2, bounds-change path). Returns false — changing nothing —
   /// if `bounds` does not match the session's metric dimensionality.
   bool SetBounds(const CostVector& bounds);
-
-  /// Rebinds the session's optimizer to `pool` (null = serial phase 2).
-  /// The work-stealing hook for serving layers: a scheduler thread that
-  /// picks this session up rebinds it to its own pool partition before
-  /// stepping, so a pool never sees two concurrent ParallelFor callers.
-  /// Only legal between Step() invocations, from the driving thread; see
-  /// IncrementalOptimizer::RebindPool for the full contract.
-  void RebindPool(ThreadPool* pool) { optimizer_.RebindPool(pool); }
 
   /// Runs the main loop until the policy selects a plan or
   /// `max_iterations` snapshots were produced. `observer`, if given, sees

@@ -55,18 +55,6 @@ IncrementalOptimizer::IncrementalOptimizer(const PlanFactory& factory,
       cand_(factory.NumTables(), factory.cost_model().schema().dims(),
             options.cell_gamma) {
   counters_.track_per_plan = options_.track_per_plan_counters;
-  // Option validation: a non-positive thread count is a caller bug, and
-  // when both an external pool and num_threads > 1 are given the pool
-  // wins — many optimizers may share one injected pool (the service
-  // layer does exactly that), and spawning a second, owned pool per
-  // optimizer behind the caller's back must be impossible.
-  MOQO_CHECK(options_.num_threads >= 1);
-  if (options_.pool != nullptr) {
-    pool_ = options_.pool;
-  } else if (options_.num_threads > 1) {
-    owned_pool_ = std::make_unique<ThreadPool>(options_.num_threads);
-    pool_ = owned_pool_.get();
-  }
 
   const int n = factory_.NumTables();
   // Precompute the connected table subsets, grouped by size; the DP in
@@ -293,11 +281,7 @@ void IncrementalOptimizer::Optimize(const CostVector& bounds,
   // Bottom-up over connected table sets of increasing cardinality; for
   // each split into two combinable subsets, enumerate only sub-plan pairs
   // with at least one Δ member and an unseen (left, right) combination.
-  if (pool_ != nullptr) {
-    Phase2Partitioned(bounds, resolution);
-  } else {
-    Phase2Serial(bounds, resolution);
-  }
+  Phase2Serial(bounds, resolution);
 }
 
 void IncrementalOptimizer::Phase2Serial(const CostVector& bounds,
@@ -363,125 +347,6 @@ void IncrementalOptimizer::Phase2Serial(const CostVector& bounds,
       if (options_.sorted_pruning) SortBatch(batch);
       for (const BatchEntry& e : batch) {
         PrunePlan(q, e.id, e.cost, e.order, bounds, resolution);
-      }
-    }
-  }
-}
-
-// Partitioned phase 2 (see OptimizerOptions::num_threads). Per level k:
-//   1. the main thread Collects every connected subset of size k-1 into a
-//      cache (sizes < k-1 are already cached: plans inserted at level j go
-//      only into size-j sets, so earlier collections stay valid for the
-//      rest of the invocation). This performs exactly the visibility
-//      stamping the serial path does — the serial split loop collects
-//      every connected proper subset of Q each invocation, since any such
-//      subset s forms the combinable split (s, {v}) of s ∪ {v} for some
-//      neighbor table v;
-//   2. the level's table sets are enumerated across the pool. Enumeration
-//      probes CanCombine/IsFresh and buffers fresh pairs and their join
-//      alternatives into per-set CellDeltas (no shared writes);
-//   3. after the barrier all of the level's cells are merged in canonical
-//      set order: pairs are marked in the fresh registry, plans appended
-//      to the arena, and each set's batch pruned cheapest-first — the
-//      identical sequence of Prune calls the serial path performs.
-void IncrementalOptimizer::Phase2Partitioned(const CostVector& bounds,
-                                             int resolution) {
-  const int n = factory_.NumTables();
-  if (collected_.empty()) collected_.resize(size_t{1} << n);
-  std::vector<std::vector<CellIndex::Collected>>& collected = collected_;
-  std::vector<BatchEntry> batch;
-  for (size_t k = 2; k <= static_cast<size_t>(n); ++k) {
-    for (TableSet s : connected_by_size_[k - 1]) {
-      collected[s.mask()] =
-          res_.For(s).Collect(bounds, resolution, invocation_);
-    }
-    // Sealed (fragment-seeded) cells are excluded from the dispatch; the
-    // merge below then visits the same cells in the same canonical order
-    // as the serial path's seal-aware loop.
-    const std::vector<TableSet>* level = &connected_by_size_[k];
-    std::vector<TableSet> live;
-    if (!sealed_.empty()) {
-      live.reserve(level->size());
-      for (TableSet q : *level) {
-        if (!IsSealed(q)) live.push_back(q);
-      }
-      level = &live;
-    }
-    if (level->empty()) continue;
-
-    std::vector<CellDelta> deltas(level->size());
-    pool_->ParallelFor(level->size(), [&](size_t j) {
-      deltas[j].cell = (*level)[j];
-      EnumerateFreshPairs((*level)[j], collected, &deltas[j]);
-    });
-
-    for (const CellDelta& d : deltas) {
-      const TableSet q = d.cell;
-      counters_.pairs_rejected_stale += d.stale_pairs;
-      for (const auto& [left, right] : d.fresh_pairs) {
-        // A pair's table sets union to q, so no other cell can have
-        // buffered it; marking must succeed.
-        const bool was_fresh = fresh_.Mark(left, right);
-        MOQO_CHECK(was_fresh);
-        ++counters_.pairs_generated;
-      }
-      batch.clear();
-      batch.reserve(d.joins.size());
-      for (const CellJoin& pj : d.joins) {
-        const PlanId id =
-            arena_.AddJoin(q, pj.left, pj.right, pj.op, pj.op_cost.cost,
-                           pj.op_cost.output_rows, pj.op_cost.order);
-        ++counters_.plans_generated;
-        batch.push_back({id, pj.op_cost.cost, 0.0, pj.op_cost.order});
-      }
-      if (options_.sorted_pruning) SortBatch(batch);
-      for (const BatchEntry& e : batch) {
-        PrunePlan(q, e.id, e.cost, e.order, bounds, resolution);
-      }
-    }
-  }
-}
-
-void IncrementalOptimizer::EnumerateFreshPairs(
-    TableSet q,
-    const std::vector<std::vector<CellIndex::Collected>>& collected,
-    CellDelta* out) const {
-  for (SubsetIter split(q); !split.Done(); split.Next()) {
-    const TableSet q1 = split.Subset();
-    const TableSet q2 = split.Complement();
-    if (!factory_.CanCombine(q1, q2)) continue;
-
-    const std::vector<CellIndex::Collected>& p1 = collected[q1.mask()];
-    if (p1.empty()) continue;
-    const std::vector<CellIndex::Collected>& p2 = collected[q2.mask()];
-    if (p2.empty()) continue;
-
-    auto combine = [&](const CellIndex::Collected& a,
-                       const CellIndex::Collected& b) {
-      if (!fresh_.IsFresh(a.id, b.id)) {
-        ++out->stale_pairs;
-        return;
-      }
-      out->fresh_pairs.emplace_back(a.id, b.id);
-      // References are stable: the arena is not appended to while the
-      // level's workers run.
-      const PlanNode& left = arena_.at(a.id);
-      const PlanNode& right = arena_.at(b.id);
-      factory_.ForEachJoin(
-          left, right, [&](const OperatorDesc& op, const OpCost& oc) {
-            out->joins.push_back({a.id, b.id, op, oc});
-          });
-    };
-
-    for (const CellIndex::Collected& a : p1) {
-      if (!a.delta) continue;
-      for (const CellIndex::Collected& b : p2) combine(a, b);
-    }
-    for (const CellIndex::Collected& b : p2) {
-      if (!b.delta) continue;
-      for (const CellIndex::Collected& a : p1) {
-        if (a.delta) continue;  // Δ × Δ already handled above.
-        combine(a, b);
       }
     }
   }

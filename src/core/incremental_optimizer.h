@@ -15,8 +15,6 @@
 #ifndef MOQO_CORE_INCREMENTAL_OPTIMIZER_H_
 #define MOQO_CORE_INCREMENTAL_OPTIMIZER_H_
 
-#include <memory>
-#include <utility>
 #include <vector>
 
 #include "core/counters.h"
@@ -28,30 +26,8 @@
 #include "index/plan_set.h"
 #include "plan/arena.h"
 #include "plan/cost_model.h"
-#include "util/thread_pool.h"
 
 namespace moqo {
-
-// One join alternative of a fresh sub-plan pair, produced by phase-2
-// enumeration of a cell; turned into an arena plan during the level
-// merge. `left`/`right` are arena plan ids.
-struct CellJoin {
-  uint32_t left = 0;
-  uint32_t right = 0;
-  OperatorDesc op;
-  OpCost op_cost;
-};
-
-// The complete phase-2 enumeration output of one cell at one level: the
-// fresh sub-plan pairs tried, every join alternative they produced
-// (pre-prune — pruning happens during the merge), and the count of stale
-// pairs skipped. This is the thread-local buffer of the parallel engine.
-struct CellDelta {
-  TableSet cell;
-  std::vector<std::pair<uint32_t, uint32_t>> fresh_pairs;
-  std::vector<CellJoin> joins;
-  uint64_t stale_pairs = 0;
-};
 
 struct OptimizerOptions {
   // Logarithmic cell width of the plan indexes.
@@ -77,33 +53,6 @@ struct OptimizerOptions {
   // guarantees are order-independent, so this is purely a performance
   // lever (ablated in bench_prune_design).
   bool sorted_pruning = true;
-  // Number of threads used by phase 2 (fresh plan generation). Must be
-  // >= 1 (CHECKed by the optimizer constructor); 1 (the default) runs
-  // the exact legacy single-threaded code path.
-  //
-  // The parallel engine shards the connected table subsets of each
-  // cardinality level k across a fixed pool of workers and joins them at a
-  // per-level barrier, preserving the bottom-up dependency on levels < k.
-  // Workers are pure readers: the sub-plan sets each level consumes are
-  // collected once on the main thread before the level is dispatched, and
-  // workers only probe IsFresh and buffer (left, right, operator, cost)
-  // tuples thread-locally. After the barrier the buffers are merged on
-  // the main thread in the canonical table-set order — appending to the
-  // plan arena, marking fresh pairs, and pruning each subset's batch in
-  // sorted cost order — so CellIndex, PlanSetTable, PlanArena, and
-  // FreshPairRegistry stay single-writer and lock-free, and the result
-  // frontiers are bit-identical to the num_threads=1 run (Theorems 1-2
-  // are untouched; parallel_optimizer_test asserts the equivalence).
-  int num_threads = 1;
-  // Optional externally owned pool. When set it is used instead of
-  // spawning num_threads workers — callers can share one pool across
-  // optimizers (or keep thread spawning out of timed regions). Must
-  // outlive the optimizer; only the optimizer's thread may Optimize.
-  // If both `pool` and `num_threads > 1` are set, the pool wins: the
-  // optimizer never spawns its own workers next to an injected pool
-  // (num_threads is ignored; observable via IncrementalOptimizer::pool()
-  // / owns_pool(), pinned by edge_cases_test).
-  ThreadPool* pool = nullptr;
   // Cross-query plan-fragment sharing (docs/FRAGMENT_SHARING.md). When
   // set, the constructor offers every connected table subset with >= 2
   // tables to the provider; on a hit the subset's result set is seeded
@@ -150,24 +99,6 @@ class IncrementalOptimizer {
                                                int resolution) const;
 
   const PlanFactory& factory() const { return factory_; }
-  // The pool phase 2 runs on: the injected options.pool if given, else
-  // the owned pool spawned for num_threads > 1, else null (serial path).
-  // Lets callers and tests pin the pool-wins contract.
-  const ThreadPool* pool() const { return pool_; }
-  bool owns_pool() const { return owned_pool_ != nullptr; }
-  // Swaps the injected pool phase 2 runs on; `pool` may be null (serial
-  // path). For serving layers whose schedulers step one optimizer from
-  // different threads over its lifetime (work stealing): each stepping
-  // thread rebinds the optimizer to its own pool partition before
-  // Optimize, so no pool ever sees two concurrent ParallelFor callers.
-  // Only legal between invocations, from the thread driving the
-  // optimizer, and only on optimizers that do not own their pool.
-  // Thread counts never affect results, so rebinding never changes
-  // frontiers.
-  void RebindPool(ThreadPool* pool) {
-    MOQO_CHECK(owned_pool_ == nullptr);
-    pool_ = pool;
-  }
   const PlanArena& arena() const { return arena_; }
   const ResolutionSchedule& schedule() const { return schedule_; }
   const Counters& counters() const { return counters_; }
@@ -227,21 +158,10 @@ class IncrementalOptimizer {
   // a one-time cost of diverging a seeded run.
   void UnsealForBoundsChange();
 
-  // Phase 2 (Algorithm 2 lines 13-22): single-threaded reference path,
-  // and the partitioned enumerate-then-merge path of the in-process pool
-  // (options_.num_threads/pool) — per level, enumerate every cell into a
-  // CellDelta, then merge all cells in canonical order.
+  // Phase 2 (Algorithm 2 lines 13-22): generates fresh join plans
+  // bottom-up and prunes each table set's batch before any superset
+  // consumes it.
   void Phase2Serial(const CostVector& bounds, int resolution);
-  void Phase2Partitioned(const CostVector& bounds, int resolution);
-
-  // Worker body of the partitioned phase 2: enumerates the fresh
-  // sub-plan pairs of table set q against the pre-collected sub-plan
-  // sets and buffers their join alternatives. Read-only on all shared
-  // state (out->cell is left untouched).
-  void EnumerateFreshPairs(
-      TableSet q,
-      const std::vector<std::vector<CellIndex::Collected>>& collected,
-      CellDelta* out) const;
 
   const PlanFactory& factory_;
   ResolutionSchedule schedule_;
@@ -257,13 +177,6 @@ class IncrementalOptimizer {
   bool first_optimize_done_ = false;
   // All connected table subsets, grouped by cardinality (precomputed).
   std::vector<std::vector<TableSet>> connected_by_size_;
-  // Worker pool for the parallel phase 2: the external options_.pool if
-  // given, else owned_pool_; null when running single-threaded.
-  std::unique_ptr<ThreadPool> owned_pool_;
-  ThreadPool* pool_ = nullptr;
-  // Per-invocation cache of Collect() results by table-set mask, reused
-  // across Phase2Partitioned calls to avoid re-allocating 2^n vectors.
-  std::vector<std::vector<CellIndex::Collected>> collected_;
 
   // --- Fragment sharing state ---
   // By mask: 1 = cell seeded from the provider, phase 2 skips it. Empty

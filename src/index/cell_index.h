@@ -22,8 +22,8 @@
 // primitives (FilterByBounds / FindDominating) over whole lanes instead of
 // per-entry CostVector comparisons. Iteration order — and therefore every
 // downstream insertion order — is a deterministic function of the
-// insertion history alone, which is what the bit-identity suites (serial
-// vs pooled, warm vs cold fragment seeding, remote vs in-process) rely on.
+// insertion history alone, which is what the bit-identity suites (shard
+// counts, warm vs cold fragment seeding, remote vs in-process) rely on.
 //
 // The index additionally maintains per-entry *visibility stamps* used by
 // the optimizer's Δ-set logic (paper §4.2, function Fresh): Collect()

@@ -22,8 +22,7 @@
 /// scan-order signature (whether an index scan's order tag refers to an
 /// internal predicate, an external one, or none), the metric set, the
 /// catalog epoch, and the result-affecting session options (schedule,
-/// bounds, cell gamma, pruning flags). Thread counts are excluded — the
-/// parallel engine is frontier-equivalent. Order tags are translated to
+/// bounds, cell gamma, pruning flags). Order tags are translated to
 /// a fragment-relative canonical encoding on publish and back to the
 /// consumer's local tags on lookup, so queries that number their tables
 /// or predicates differently still share (order-preserving renumberings

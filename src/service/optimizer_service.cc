@@ -73,8 +73,8 @@ std::string CanonicalQueryKeySuffix(const Query& query,
   } else {
     key += "inf";
   }
-  // Result-affecting optimizer knobs. Thread counts and pools are
-  // excluded: the parallel engine is frontier-equivalent by contract.
+  // Result-affecting optimizer knobs. Counter tracking and the
+  // service-owned fragment fields never change a frontier.
   const OptimizerOptions& opt = options.iama.optimizer;
   key += ";o=";
   AppendDouble(&key, opt.cell_gamma);
@@ -204,7 +204,6 @@ OptimizerService::OptimizerService(const Catalog& catalog,
     : catalog_(catalog),
       options_(std::move(options)),
       catalog_snapshot_(catalog.Snapshot()) {
-  MOQO_CHECK(options_.num_threads >= 1);
   MOQO_CHECK(options_.num_shards >= 1);
   if (options_.fragment_cache_bytes > 0) {
     FragmentStore::Options store_options;
@@ -218,12 +217,6 @@ OptimizerService::OptimizerService(const Catalog& catalog,
     // place when the first lookup happens.
     fragment_store_ = std::make_unique<FragmentStore>(store_options);
     fragment_store_->SetCatalogVersion(catalog_snapshot_->version());
-  }
-  const std::vector<int> partition =
-      PartitionThreads(options_.num_threads, options_.num_shards);
-  pools_.resize(partition.size());
-  for (size_t i = 0; i < partition.size(); ++i) {
-    if (partition[i] > 1) pools_[i] = std::make_unique<ThreadPool>(partition[i]);
   }
   shard_queues_.resize(static_cast<size_t>(options_.num_shards));
   schedulers_.reserve(static_cast<size_t>(options_.num_shards));
@@ -275,15 +268,6 @@ StatusOr<SubmitResponse> OptimizerService::Submit(SubmitRequest request) {
       request.iama.initial_bounds->dims() != options_.schema.dims()) {
     return Status::InvalidArgument(
         "initial_bounds dimension does not match the service metric schema");
-  }
-  if (request.iama.optimizer.pool != nullptr) {
-    return Status::InvalidArgument(
-        "optimizer.pool is owned by the service; do not inject one");
-  }
-  if (request.iama.optimizer.num_threads != 1) {
-    return Status::InvalidArgument(
-        "optimizer.num_threads is owned by the service (ServiceOptions"
-        "::num_threads); leave it at 1");
   }
   if (request.iama.optimizer.fragment_store != nullptr ||
       request.iama.optimizer.fragment_publish) {
@@ -729,9 +713,6 @@ void OptimizerService::BuildRun(RunState* run) {
       run->query, run->catalog, options_.schema, options_.cost_params,
       options_.operator_options);
   IamaOptions iama = run->iama;
-  iama.optimizer.pool = nullptr;   // Rebound to the stepping shard's pool
-  iama.optimizer.num_threads = 1;  // each turn; the service owns all
-                                   // parallelism.
   if (fragment_store_ != nullptr) {
     run->fragment_provider = std::make_unique<FragmentStoreProvider>(
         fragment_store_.get(), run->query, options_.schema, run->iama,
@@ -979,9 +960,6 @@ void OptimizerService::SchedulerLoop(size_t shard) {
       // late-admitted duplicate still seeds from the leader's cells.
       run->session->mutable_optimizer()->ReprobeFragments();
     }
-    // Work stealing may move a run between shards across turns; the
-    // stepping shard's own pool partition keeps every pool single-caller.
-    run->session->RebindPool(pools_[shard].get());
     if (pending.has_value()) {
       // Dimensions were validated by ApplyBounds against the service
       // schema, which every session shares.

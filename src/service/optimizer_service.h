@@ -11,23 +11,19 @@
 /// worker usage stays bounded.
 ///
 /// **Concurrency model.** `ServiceOptions::num_shards` scheduler threads
-/// each own a weighted round-robin run queue and a private partition of
-/// the worker budget (`ServiceOptions::num_threads`, split via
-/// PartitionThreads). A run is placed on a shard by hashing its canonical
-/// query key; an idle shard steals queued runs from the busiest other
-/// shard and adopts them (a stolen run re-enqueues on its new shard
-/// until stolen again), so one shard's long-running sessions cannot
-/// head-of-line-block small queries admitted elsewhere. Exactly one shard thread steps a
-/// given run at a time (a run is never in two queues, and a stepping
-/// shard holds the run outside every queue), and the stepping thread
-/// rebinds the session to its own pool partition first
-/// (IamaSession::RebindPool) — so each pool's non-reentrant ParallelFor
-/// always has exactly one caller. Because each session's sequence of
-/// Step() calls is independent of how runs are interleaved, placed, or
-/// stolen, and thread counts never affect frontiers, service results are
-/// bit-identical to running every query alone for every shard count
-/// (service_test asserts this for shards {1, 2, 4}, including under
-/// TSan).
+/// each own a weighted round-robin run queue and step their sessions on
+/// that one thread; the shard count is the service's only thread knob.
+/// A run is placed on a shard by hashing its canonical query key; an
+/// idle shard steals queued runs from the busiest other shard and adopts
+/// them (a stolen run re-enqueues on its new shard until stolen again),
+/// so one shard's long-running sessions cannot head-of-line-block small
+/// queries admitted elsewhere. Exactly one shard thread steps a given
+/// run at a time (a run is never in two queues, and a stepping shard
+/// holds the run outside every queue). Because each session's sequence
+/// of Step() calls is independent of how runs are interleaved, placed,
+/// or stolen, service results are bit-identical to running every query
+/// alone for every shard count (service_test asserts this for shards
+/// {1, 2, 4}, including under TSan).
 ///
 /// **Scheduling.** Weighted round-robin per shard; a run's `priority`
 /// (the maximum across the queries attached to it) is the number of
@@ -125,21 +121,17 @@
 #include "service/service_api.h"
 #include "service/snapshot_stream.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace moqo {
 
 /// Service-wide configuration, fixed at construction.
 struct ServiceOptions {
-  /// Total worker budget shared by all sessions' phase-2 enumeration,
-  /// split across the scheduler shards via PartitionThreads. Must be
-  /// >= 1. A shard whose partition is 1 steps its sessions serially on
-  /// the scheduler thread itself.
+  /// Ignored; kept only so existing callers that still assign it keep
+  /// compiling. Each shard steps its sessions on its own thread, so
+  /// num_shards alone sets the service's thread count.
   int num_threads = 1;
-  /// Number of scheduler shards (threads stepping sessions). Must be
-  /// >= 1. More shards let more sessions step truly concurrently;
-  /// num_shards > num_threads oversubscribes the worker budget (each
-  /// shard always keeps at least its own thread).
+  /// Number of scheduler shards, each one thread stepping sessions.
+  /// Must be >= 1. More shards let more sessions step concurrently.
   int num_shards = 1;
   /// Attach duplicate in-flight submissions to the running leader
   /// instead of optimizing them a second time. Disable to force every
@@ -231,12 +223,9 @@ struct ServiceOptions {
 /// result. Folding in `catalog_version` makes the whole-query cache and
 /// in-flight coalescing refresh-safe: submissions from different
 /// catalog generations can never match, so a frontier computed on dead
-/// cardinalities is unreachable after RefreshCatalog(). Thread counts
-/// are deliberately excluded: the parallel engine is
-/// frontier-equivalent, so runs at different thread counts share
-/// cache lines. The same key drives shard placement and in-flight
-/// coalescing, so duplicates land on the same shard and attach to the
-/// same leader.
+/// cardinalities is unreachable after RefreshCatalog(). The same key
+/// drives shard placement and in-flight coalescing, so duplicates land
+/// on the same shard and attach to the same leader.
 std::string CanonicalQueryKey(const Query& query, const MetricSchema& schema,
                               const SubmitRequest& request,
                               uint64_t catalog_version);
@@ -346,8 +335,6 @@ class OptimizerService {
 
   /// Snapshot of the monotonic service counters.
   ServiceStats stats() const;
-  /// Total worker budget (ServiceOptions::num_threads).
-  int threads() const { return options_.num_threads; }
   /// Number of scheduler shards (ServiceOptions::num_shards).
   int shards() const { return options_.num_shards; }
   /// The cross-query fragment store shared by all shards, or nullptr
@@ -434,10 +421,6 @@ class OptimizerService {
   // RefreshCatalog. Runs keep their own reference, so replacing it
   // never invalidates an in-flight session.
   std::shared_ptr<const CatalogSnapshot> catalog_snapshot_;
-  // Per-shard worker pools (null where the partition size is 1). A
-  // stepping shard rebinds the run's session to its own pool, so each
-  // pool has exactly one ParallelFor caller at any time.
-  std::vector<std::unique_ptr<ThreadPool>> pools_;
   // One cross-query fragment store for all shards (internally sharded;
   // thread-safe); null when fragment_cache_bytes == 0.
   std::unique_ptr<FragmentStore> fragment_store_;

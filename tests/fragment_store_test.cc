@@ -2,10 +2,9 @@
 // collide exactly for order-preserving renumberings of the same fragment
 // (and miss otherwise, epoch included); seeding from a warm store must
 // leave every frontier bit-identical to a cold sequential run — at every
-// iteration, for serial and pooled phase 2, and through the sharded
-// service for shard counts {1, 2, 4} — while measurably cutting the
-// optimizer's generation work (pair/plan counters, asserted like the
-// coalescing step counts); diverged (re-bounded) seeded runs must stay
+// iteration, directly and through the sharded service for shard counts
+// {1, 2, 4} — while measurably cutting the optimizer's generation work
+// (pair/plan counters, asserted like the coalescing step counts); diverged (re-bounded) seeded runs must stay
 // correct α-approximations and never publish; and the store itself must
 // evict under a byte budget without ever invalidating a snapshot a
 // reader holds (hammered under TSan in CI).
@@ -289,8 +288,7 @@ TEST(FragmentKeyTest, SelectivityEpochAndOptionsChangeTheKey) {
 // --- Core-level seeding: bit-identity and work savings ----------------------
 
 // A fully warmed store must let an identical query re-derive its entire
-// trajectory with zero pair enumeration, bit-identically — for serial
-// and pooled phase 2 alike.
+// trajectory with zero pair enumeration, bit-identically.
 TEST(FragmentSeedingTest, FullyWarmRunIsBitIdenticalWithZeroPairs) {
   const Catalog catalog = MakeTpchCatalog();
   const OperatorOptions op_options = TinyOperatorOptions(/*sampling=*/true);
@@ -303,20 +301,17 @@ TEST(FragmentSeedingTest, FullyWarmRunIsBitIdenticalWithZeroPairs) {
 
   const MetricSchema schema = MetricSchema::Standard3();
   PlanFactory factory(query, catalog, schema, CostModelParams{}, op_options);
-  for (const int threads : {1, 3}) {
-    FragmentStoreProvider provider(&store, query, schema, iama,
-                                   op_options.enable_interesting_orders, 2);
-    IamaOptions seeded_iama = iama;
-    seeded_iama.optimizer.fragment_store = &provider;
-    seeded_iama.optimizer.num_threads = threads;
-    IamaSession session(factory, seeded_iama);
-    const auto warm = RunTrajectory(&session, iama.schedule.NumLevels());
-    ASSERT_EQ(warm, reference) << "threads " << threads;
-    const Counters& counters = session.optimizer().counters();
-    EXPECT_EQ(counters.pairs_generated, 0u);
-    EXPECT_GT(counters.fragment_cells_seeded, 0u);
-    EXPECT_GT(counters.fragment_plans_seeded, 0u);
-  }
+  FragmentStoreProvider provider(&store, query, schema, iama,
+                                 op_options.enable_interesting_orders, 2);
+  IamaOptions seeded_iama = iama;
+  seeded_iama.optimizer.fragment_store = &provider;
+  IamaSession session(factory, seeded_iama);
+  const auto warm = RunTrajectory(&session, iama.schedule.NumLevels());
+  ASSERT_EQ(warm, reference);
+  const Counters& counters = session.optimizer().counters();
+  EXPECT_EQ(counters.pairs_generated, 0u);
+  EXPECT_GT(counters.fragment_cells_seeded, 0u);
+  EXPECT_GT(counters.fragment_plans_seeded, 0u);
 }
 
 // Overlapping-but-distinct queries: each variant must match its own cold

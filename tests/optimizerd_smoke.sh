@@ -2,7 +2,7 @@
 # Smoke test for the serving stack: boots optimizerd on an ephemeral
 # port, drives it with loadgen over real TCP, then checks graceful
 # drain — SIGTERM must finish in-flight work and exit 0. A bad numeric
-# flag must be refused up front with exit status 2.
+# or unknown flag must be refused up front with exit status 2.
 #
 # Second leg: crash-recovery of the persistent fragment store. A server
 # booted with --store-path serves a cold pass (per-query frontier
@@ -59,16 +59,26 @@ wait_for_port() {
 
 # --- Flag validation ---------------------------------------------------------
 
-# --threads 0 would abort the service on its thread-count check; the
-# flag parser must refuse it first, naming the flag, with exit status 2.
-STATUS=0
-"$BUILD_DIR/optimizerd" --port 0 --threads 0 > "$LOG" 2>&1 || STATUS=$?
-[ "$STATUS" -eq 2 ] || { cat "$LOG"; echo "FAIL: --threads 0 exited $STATUS, want 2"; exit 1; }
+# Runs "$@" and fails the smoke unless it exits 2 (the drivers' status
+# for a bad or unknown flag).
+expect_exit_2() {
+  STATUS=0
+  "$@" > "$LOG" 2>&1 || STATUS=$?
+  [ "$STATUS" -eq 2 ] || { cat "$LOG"; echo "FAIL: '$*' exited $STATUS, want 2"; exit 1; }
+}
+
+# --shards 0 would abort the service on its shard-count check; the flag
+# parser must refuse it first, naming the flag.
+expect_exit_2 "$BUILD_DIR/optimizerd" --port 0 --shards 0
+# --threads is gone: each shard is one thread, so it is an unknown flag.
+expect_exit_2 "$BUILD_DIR/optimizerd" --port 0 --threads 2
+# A negative session count must not reach the session vector's size.
+expect_exit_2 "$BUILD_DIR/loadgen" --port 1 --sessions -1
 echo "PASS: optimizerd smoke (flag validation)"
 
 # --- Leg 1: quotas + graceful drain (no store) ------------------------------
 
-"$BUILD_DIR/optimizerd" --port 0 --threads 2 --shards 2 \
+"$BUILD_DIR/optimizerd" --port 0 --shards 2 \
   --max-inflight 16 --quota smoke=8:2 > "$LOG" &
 SERVER_PID=$!
 wait_for_port "$LOG"
@@ -94,7 +104,7 @@ STORE_PATH="$STORE_DIR/fragments.log"
 rm -f "$STORE_PATH"
 
 : > "$LOG"
-"$BUILD_DIR/optimizerd" --port 0 --threads 2 --shards 2 \
+"$BUILD_DIR/optimizerd" --port 0 --shards 2 \
   --max-inflight 16 --store-path "$STORE_PATH" > "$LOG" &
 SERVER_PID=$!
 wait_for_port "$LOG"
@@ -122,7 +132,7 @@ wait "$LOADGEN_PID" 2>/dev/null || true  # Transport errors expected.
 # Restart on the same log. The replay line must show zero decode
 # errors: a SIGKILL may tear the final in-flight append (torn bytes are
 # fine), but every record before it must replay CRC-clean.
-"$BUILD_DIR/optimizerd" --port 0 --threads 2 --shards 2 \
+"$BUILD_DIR/optimizerd" --port 0 --shards 2 \
   --max-inflight 16 --store-path "$STORE_PATH" > "$LOG2" &
 SERVER_PID=$!
 wait_for_port "$LOG2"

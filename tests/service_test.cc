@@ -52,9 +52,8 @@ FrontierSnapshot SequentialFinalSnapshot(const Query& query,
   return snap;
 }
 
-ServiceOptions SmallServiceOptions(int threads) {
+ServiceOptions SmallServiceOptions() {
   ServiceOptions options;
-  options.num_threads = threads;
   options.operator_options = TinyOperatorOptions(/*sampling=*/true);
   return options;
 }
@@ -93,11 +92,11 @@ Workload MakeWorkload(int num_random, int random_tables = 4) {
 // Admits a mixed workload from several client threads at once onto a
 // service with `shards` scheduler threads and asserts every frontier is
 // bit-identical to running the query alone, single-threaded — the
-// acceptance bar for the sharded scheduler (placement, stealing, and
-// pool partitioning must not affect any session's step sequence).
+// acceptance bar for the sharded scheduler (placement and stealing must
+// not affect any session's step sequence).
 void ExpectShardedServiceMatchesSequential(int shards) {
   const Workload w = MakeWorkload(/*num_random=*/4);
-  ServiceOptions service_opts = SmallServiceOptions(/*threads=*/4);
+  ServiceOptions service_opts = SmallServiceOptions();
   service_opts.num_shards = shards;
   const SubmitRequest submit = SmallSubmitRequest();
   const int iterations = submit.iama.schedule.NumLevels();
@@ -105,7 +104,7 @@ void ExpectShardedServiceMatchesSequential(int shards) {
   OptimizerService service(w.catalog, service_opts);
   ASSERT_EQ(service.shards(), shards);
   // Admit everything from several client threads at once; every session's
-  // steps interleave on the shared pool.
+  // steps interleave across the shards.
   std::vector<QueryId> ids(w.queries.size(), kInvalidQueryId);
   std::vector<std::unique_ptr<std::atomic<int>>> snapshot_counts;
   for (size_t i = 0; i < w.queries.size(); ++i) {
@@ -165,7 +164,7 @@ TEST(OptimizerServiceTest, ConcurrentSessionsMatchSequentialFourShards) {
 
 TEST(OptimizerServiceTest, CacheServesRepeatedQueryBitIdentically) {
   const Workload w = MakeWorkload(/*num_random=*/0);
-  OptimizerService service(w.catalog, SmallServiceOptions(2));
+  OptimizerService service(w.catalog, SmallServiceOptions());
   const SubmitRequest submit = SmallSubmitRequest();
   const Query& query = w.queries.front();
 
@@ -200,7 +199,7 @@ TEST(OptimizerServiceTest, CacheServesRepeatedQueryBitIdentically) {
 
 TEST(OptimizerServiceTest, CacheEvictsLeastRecentlyUsed) {
   const Workload w = MakeWorkload(/*num_random=*/2);
-  ServiceOptions options = SmallServiceOptions(1);
+  ServiceOptions options = SmallServiceOptions();
   options.frontier_cache_capacity = 1;
   OptimizerService service(w.catalog, options);
   const SubmitRequest submit = SmallSubmitRequest();
@@ -221,7 +220,7 @@ TEST(OptimizerServiceTest, CacheEvictsLeastRecentlyUsed) {
 TEST(OptimizerServiceTest, ResultRetentionDropsOldestResults) {
   const Workload w = MakeWorkload(/*num_random=*/0);
   ASSERT_GE(w.queries.size(), 3u);
-  ServiceOptions options = SmallServiceOptions(1);
+  ServiceOptions options = SmallServiceOptions();
   options.result_retention = 2;
   OptimizerService service(w.catalog, options);
   const SubmitRequest submit = SmallSubmitRequest();
@@ -239,7 +238,7 @@ TEST(OptimizerServiceTest, ResultRetentionDropsOldestResults) {
 
 TEST(OptimizerServiceTest, CancelStopsASession) {
   const Workload w = MakeWorkload(/*num_random=*/1, /*random_tables=*/5);
-  OptimizerService service(w.catalog, SmallServiceOptions(1));
+  OptimizerService service(w.catalog, SmallServiceOptions());
   SubmitRequest submit = SmallSubmitRequest();
   submit.max_iterations = 1000000;  // Unreachable: steps clamp at rM.
 
@@ -257,7 +256,7 @@ TEST(OptimizerServiceTest, CancelStopsASession) {
 
 TEST(OptimizerServiceTest, DeadlineExpiresSlowQuery) {
   const Workload w = MakeWorkload(/*num_random=*/1, /*random_tables=*/5);
-  OptimizerService service(w.catalog, SmallServiceOptions(1));
+  OptimizerService service(w.catalog, SmallServiceOptions());
   SubmitRequest submit = SmallSubmitRequest();
   submit.deadline_ms = 1e-6;  // Expires before the first step.
 
@@ -269,7 +268,7 @@ TEST(OptimizerServiceTest, DeadlineExpiresSlowQuery) {
 
 TEST(OptimizerServiceTest, RejectsInvalidSubmissions) {
   const Workload w = MakeWorkload(/*num_random=*/0);
-  OptimizerService service(w.catalog, SmallServiceOptions(1));
+  OptimizerService service(w.catalog, SmallServiceOptions());
   const Query& good = w.queries.front();
 
   Query bad_table = good;
@@ -288,21 +287,12 @@ TEST(OptimizerServiceTest, RejectsInvalidSubmissions) {
   bad_bounds.iama.initial_bounds = CostVector::Infinite(2);  // Schema is 3.
   EXPECT_FALSE(SubmitQuery(service, good, bad_bounds).ok());
 
-  ThreadPool pool(1);
-  SubmitRequest injected_pool = SmallSubmitRequest();
-  injected_pool.iama.optimizer.pool = &pool;
-  EXPECT_FALSE(SubmitQuery(service, good, injected_pool).ok());
-
-  SubmitRequest own_threads = SmallSubmitRequest();
-  own_threads.iama.optimizer.num_threads = 4;
-  EXPECT_FALSE(SubmitQuery(service, good, own_threads).ok());
-
   EXPECT_EQ(service.stats().submitted, 0u);
 }
 
 TEST(OptimizerServiceTest, MaxIterationsLimitBoundsRunLength) {
   const Workload w = MakeWorkload(/*num_random=*/0);
-  ServiceOptions options = SmallServiceOptions(1);
+  ServiceOptions options = SmallServiceOptions();
   options.max_iterations_limit = 8;
   OptimizerService service(w.catalog, options);
 
@@ -327,14 +317,14 @@ TEST(OptimizerServiceTest, MaxIterationsLimitBoundsRunLength) {
 
 TEST(OptimizerServiceTest, WaitOnUnknownIdReturnsInvalidResult) {
   const Workload w = MakeWorkload(/*num_random=*/0);
-  OptimizerService service(w.catalog, SmallServiceOptions(1));
+  OptimizerService service(w.catalog, SmallServiceOptions());
   const QueryResult result = service.Wait(424242);
   EXPECT_EQ(result.id, kInvalidQueryId);
 }
 
 TEST(OptimizerServiceTest, PriorityAndBoundsOptionsComplete) {
   const Workload w = MakeWorkload(/*num_random=*/2);
-  OptimizerService service(w.catalog, SmallServiceOptions(2));
+  OptimizerService service(w.catalog, SmallServiceOptions());
   SubmitRequest high = SmallSubmitRequest();
   high.priority = 3;
   CostVector bounds = CostVector::Infinite(3);
@@ -361,7 +351,7 @@ TEST(OptimizerServiceTest, DestructionCancelsPendingSessions) {
   SubmitRequest submit = SmallSubmitRequest();
   submit.max_iterations = 1000000;
   // Destroying a service with queued work must neither hang nor crash.
-  OptimizerService service(w.catalog, SmallServiceOptions(2));
+  OptimizerService service(w.catalog, SmallServiceOptions());
   for (const Query& q : w.queries) {
     ASSERT_TRUE(SubmitQuery(service, q, submit).ok());
   }
@@ -376,7 +366,7 @@ TEST(OptimizerServiceTest, DestructionUnblocksInFlightWaiters) {
   QueryResult observed;
   std::thread waiter;
   {
-    OptimizerService service(w.catalog, SmallServiceOptions(1));
+    OptimizerService service(w.catalog, SmallServiceOptions());
     const QueryId id = SubmitQuery(service, w.queries.back(), submit).value();
     waiter = std::thread([&] { observed = service.Wait(id); });
     // Race-free: the waiter registers under the service mutex before
@@ -392,7 +382,7 @@ TEST(OptimizerServiceTest, StressManyConcurrentClients) {
   // TSan target: several client threads submitting duplicate queries
   // (cache hits race with fresh runs) while the scheduler steps.
   const Workload w = MakeWorkload(/*num_random=*/2);
-  OptimizerService service(w.catalog, SmallServiceOptions(4));
+  OptimizerService service(w.catalog, SmallServiceOptions());
   const SubmitRequest submit = SmallSubmitRequest(3);
   std::atomic<int> done{0};
   const int kClients = 4;
@@ -467,7 +457,7 @@ struct CoalescingRig {
   explicit CoalescingRig(const Workload& w)
       : submit(SmallSubmitRequest()),
         iterations(submit.iama.schedule.NumLevels()),
-        service(w.catalog, SmallServiceOptions(/*threads=*/1)) {
+        service(w.catalog, SmallServiceOptions()) {
     SubmitRequest blocker_submit = SmallSubmitRequest();
     blocker_submit.max_iterations = 1000000;  // Runs until cancelled.
     blocker = SubmitQuery(service, w.queries.back(), blocker_submit,
@@ -523,7 +513,7 @@ TEST(OptimizerServiceCoalescingTest, DuplicateInFlightSubmitCoalesces) {
   EXPECT_FALSE(rd.from_cache);
   EXPECT_EQ(rd.iterations, rig.iterations);
   // The shared result is the real (sequential-identical) frontier.
-  const ServiceOptions ref_opts = SmallServiceOptions(1);
+  const ServiceOptions ref_opts = SmallServiceOptions();
   const FrontierSnapshot reference = SequentialFinalSnapshot(
       q, w.catalog, ref_opts, rig.submit.iama, rig.iterations);
   ASSERT_EQ(FrontierSignature(rd.frontier.plans),
@@ -559,7 +549,7 @@ TEST(OptimizerServiceCoalescingTest, FollowerCancelLeavesLeaderUnaffected) {
   EXPECT_EQ(rl.state, QueryState::kDone);
   EXPECT_EQ(rl.iterations, rig.iterations);
   const FrontierSnapshot reference =
-      SequentialFinalSnapshot(q, w.catalog, SmallServiceOptions(1),
+      SequentialFinalSnapshot(q, w.catalog, SmallServiceOptions(),
                               rig.submit.iama, rig.iterations);
   ASSERT_EQ(FrontierSignature(rl.frontier.plans),
             FrontierSignature(reference.plans));
@@ -590,7 +580,7 @@ TEST(OptimizerServiceCoalescingTest, LeaderCancelHandsOffToFollower) {
   EXPECT_TRUE(rd.coalesced);
   EXPECT_EQ(rd.iterations, rig.iterations);
   const FrontierSnapshot reference =
-      SequentialFinalSnapshot(q, w.catalog, SmallServiceOptions(1),
+      SequentialFinalSnapshot(q, w.catalog, SmallServiceOptions(),
                               rig.submit.iama, rig.iterations);
   ASSERT_EQ(FrontierSignature(rd.frontier.plans),
             FrontierSignature(reference.plans));
@@ -606,7 +596,7 @@ TEST(OptimizerServiceCoalescingTest, DuplicateSubmitsRacingCompletion) {
   // follower, cache hit}, and total optimizer work must equal fresh
   // runs × iterations — whatever the interleaving (also a TSan target).
   const Workload w = MakeWorkload(/*num_random=*/0);
-  ServiceOptions opts = SmallServiceOptions(/*threads=*/2);
+  ServiceOptions opts = SmallServiceOptions();
   opts.num_shards = 2;
   OptimizerService service(w.catalog, opts);
   const SubmitRequest submit = SmallSubmitRequest(3);
@@ -668,7 +658,7 @@ TEST(OptimizerServiceCoalescingTest, MidTurnExpiredFollowerDoesNotRideToDone) {
   // must expire at the turn boundary — even when that same turn
   // completes the run — not be finalized kDone alongside the leader.
   const Workload w = MakeWorkload(/*num_random=*/0);
-  OptimizerService service(w.catalog, SmallServiceOptions(1));
+  OptimizerService service(w.catalog, SmallServiceOptions());
   SubmitRequest submit = SmallSubmitRequest();
   const int iterations = submit.iama.schedule.NumLevels();
   submit.priority = iterations;  // The whole run is one scheduler turn.
@@ -702,7 +692,7 @@ TEST(OptimizerServiceCoalescingTest, MidTurnExpiredFollowerDoesNotRideToDone) {
 
 TEST(OptimizerServiceApplyBoundsTest, RejectsUnknownIdsAndBadDimensions) {
   const Workload w = MakeWorkload(/*num_random=*/0);
-  OptimizerService service(w.catalog, SmallServiceOptions(1));
+  OptimizerService service(w.catalog, SmallServiceOptions());
   // Unknown id.
   EXPECT_EQ(service.ApplyBounds(424242, CostVector::Infinite(3)).code(),
             StatusCode::kNotFound);
@@ -740,7 +730,7 @@ TEST(OptimizerServiceApplyBoundsTest, TightensInFlightRunAndSkipsCache) {
   EXPECT_FALSE(again.from_cache);
   EXPECT_FALSE(again.coalesced);
   const FrontierSnapshot reference =
-      SequentialFinalSnapshot(q, w.catalog, SmallServiceOptions(1),
+      SequentialFinalSnapshot(q, w.catalog, SmallServiceOptions(),
                               rig.submit.iama, rig.iterations);
   ASSERT_EQ(FrontierSignature(again.frontier.plans),
             FrontierSignature(reference.plans));
@@ -752,7 +742,7 @@ TEST(OptimizerServiceApplyBoundsTest, BoundsOnFinalStepAreNotDropped) {
   // bounds must not be silently dropped — the run earns one more turn
   // and steps at least once under them before finishing.
   const Workload w = MakeWorkload(/*num_random=*/0);
-  OptimizerService service(w.catalog, SmallServiceOptions(1));
+  OptimizerService service(w.catalog, SmallServiceOptions());
   const SubmitRequest submit = SmallSubmitRequest();
   const int iterations = submit.iama.schedule.NumLevels();
   const Query& q = w.queries.front();
@@ -815,7 +805,7 @@ TEST(OptimizerServiceApplyBoundsTest, FollowerBoundsApplyToSharedRun) {
   EXPECT_EQ(rf.state, QueryState::kDone);
   EXPECT_FALSE(rf.coalesced);
   const FrontierSnapshot reference =
-      SequentialFinalSnapshot(q, w.catalog, SmallServiceOptions(1),
+      SequentialFinalSnapshot(q, w.catalog, SmallServiceOptions(),
                               rig.submit.iama, rig.iterations);
   ASSERT_EQ(FrontierSignature(rf.frontier.plans),
             FrontierSignature(reference.plans));
@@ -825,10 +815,9 @@ TEST(OptimizerServiceShardingTest, IdleShardsStealQueuedRuns) {
   // With coalescing disabled, duplicates of one canonical key all hash
   // to the same home shard; the other three shards can only make
   // progress by stealing — and every stolen run must still produce the
-  // canonical frontier (the stealing shard rebinds the session to its
-  // own pool partition).
+  // canonical frontier.
   const Workload w = MakeWorkload(/*num_random=*/0);
-  ServiceOptions opts = SmallServiceOptions(/*threads=*/4);
+  ServiceOptions opts = SmallServiceOptions();
   opts.num_shards = 4;
   opts.coalesce_in_flight = false;
   opts.frontier_cache_capacity = 0;  // Every submission optimizes.
@@ -843,7 +832,7 @@ TEST(OptimizerServiceShardingTest, IdleShardsStealQueuedRuns) {
     ids.push_back(SubmitQuery(service, q, submit).value());
   }
   const FrontierSnapshot reference = SequentialFinalSnapshot(
-      q, w.catalog, SmallServiceOptions(1), submit.iama, iterations);
+      q, w.catalog, SmallServiceOptions(), submit.iama, iterations);
   for (QueryId id : ids) {
     const QueryResult r = service.Wait(id);
     EXPECT_EQ(r.state, QueryState::kDone);
@@ -868,7 +857,7 @@ TEST(OptimizerServiceShardingTest, IdleShardsStealQueuedRuns) {
 // again under the new version.
 void ExpectRefreshReoptimizesOnNewCatalog(int shards) {
   Workload w = MakeWorkload(/*num_random=*/0);
-  ServiceOptions service_opts = SmallServiceOptions(/*threads=*/2);
+  ServiceOptions service_opts = SmallServiceOptions();
   service_opts.num_shards = shards;
   const SubmitRequest submit = SmallSubmitRequest();
   const int iterations = submit.iama.schedule.NumLevels();
@@ -978,10 +967,10 @@ TEST(OptimizerServiceRefreshTest, LiveRunFinishesOnPinnedSnapshot) {
   const QueryResult rf = rig.service.Wait(fresh);
 
   const FrontierSnapshot old_reference =
-      SequentialFinalSnapshot(q, old_catalog, SmallServiceOptions(1),
+      SequentialFinalSnapshot(q, old_catalog, SmallServiceOptions(),
                               rig.submit.iama, rig.iterations);
   const FrontierSnapshot new_reference =
-      SequentialFinalSnapshot(q, w.catalog, SmallServiceOptions(1),
+      SequentialFinalSnapshot(q, w.catalog, SmallServiceOptions(),
                               rig.submit.iama, rig.iterations);
   ASSERT_NE(FrontierSignature(new_reference.plans),
             FrontierSignature(old_reference.plans));
@@ -1011,7 +1000,7 @@ TEST(OptimizerServiceRefreshTest, LiveRunFinishesOnPinnedSnapshot) {
 
 TEST(OptimizerServiceRefreshTest, RefreshWithoutMutationIsANoOp) {
   Workload w = MakeWorkload(/*num_random=*/0);
-  OptimizerService service(w.catalog, SmallServiceOptions(1));
+  OptimizerService service(w.catalog, SmallServiceOptions());
   const SubmitRequest submit = SmallSubmitRequest();
   const Query& q = w.queries.front();
   const uint64_t v0 = service.catalog_version();

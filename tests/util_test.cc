@@ -7,7 +7,6 @@
 #include "util/status.h"
 #include "util/str.h"
 #include "util/table_set.h"
-#include "util/thread_pool.h"
 
 namespace moqo {
 namespace {
@@ -176,21 +175,6 @@ TEST(StrTest, Join) {
   EXPECT_EQ(StrJoin({"a", "b", "c"}, ", "), "a, b, c");
   EXPECT_EQ(StrJoin({}, ","), "");
   EXPECT_EQ(StrJoin({"solo"}, ","), "solo");
-}
-
-TEST(PartitionThreadsTest, SplitsBudgetEvenlyWithFloorOfOne) {
-  // Even split.
-  EXPECT_EQ(PartitionThreads(8, 4), (std::vector<int>{2, 2, 2, 2}));
-  // Remainder goes to the first parts; sizes differ by at most one.
-  EXPECT_EQ(PartitionThreads(8, 3), (std::vector<int>{3, 3, 2}));
-  EXPECT_EQ(PartitionThreads(7, 4), (std::vector<int>{2, 2, 2, 1}));
-  // One part takes the whole budget; one thread serves one part.
-  EXPECT_EQ(PartitionThreads(5, 1), (std::vector<int>{5}));
-  EXPECT_EQ(PartitionThreads(1, 1), (std::vector<int>{1}));
-  // Oversubscription: fewer threads than parts still gives every part a
-  // serial scheduler (size 1 spawns nothing).
-  EXPECT_EQ(PartitionThreads(2, 4), (std::vector<int>{1, 1, 1, 1}));
-  EXPECT_EQ(PartitionThreads(3, 2), (std::vector<int>{2, 1}));
 }
 
 }  // namespace
