@@ -1,12 +1,14 @@
 // Micro-benchmarks (google-benchmark) for the performance-critical
 // primitives: cost-vector dominance, cell-index insert / range query /
-// drain, Pareto frontier maintenance, and the Prune procedure.
+// drain, plan-arena append and read-back, Pareto frontier maintenance,
+// and the Prune procedure.
 #include <benchmark/benchmark.h>
 
 #include "core/pruning.h"
 #include "index/cell_index.h"
 #include "pareto/dominance.h"
 #include "pareto/frontier.h"
+#include "plan/arena.h"
 #include "util/rng.h"
 
 namespace moqo {
@@ -94,6 +96,35 @@ void BM_CellIndexAnyInRange(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CellIndexAnyInRange);
+
+// Appends N join plans at 3 metrics to a fresh arena, then reads every
+// plan back by id, as phase 2 and the batch sort do.
+void BM_ArenaAppend(benchmark::State& state) {
+  const int dims = 3;
+  const uint32_t n = static_cast<uint32_t>(state.range(0));
+  Rng rng(8);
+  std::vector<CostVector> costs;
+  for (int i = 0; i < 1024; ++i) costs.push_back(RandomCost(rng, dims));
+  const OperatorDesc scan = OperatorDesc::Scan(ScanAlg::kSeqScan, 1, 1.0);
+  const OperatorDesc join = OperatorDesc::Join(JoinAlg::kHashJoin, 2);
+  for (auto _ : state) {
+    PlanArena arena;
+    arena.AddScan(TableSet::Singleton(0), scan, costs[0], 100.0);
+    arena.AddScan(TableSet::Singleton(1), scan, costs[1], 100.0);
+    for (uint32_t i = 0; i < n; ++i) {
+      arena.AddJoin(TableSet(0b11), i % 2, 1 - i % 2, join, costs[i % 1024],
+                    static_cast<double>(i));
+    }
+    double sum = 0.0;
+    for (PlanId id = 0; id < arena.size(); ++id) {
+      const PlanNode node = arena.at(id);
+      sum += node.output_cardinality + node.cost.at(0);
+    }
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_ArenaAppend)->Arg(4096)->Arg(65536)->Arg(1 << 20);
 
 void BM_FrontierInsert(benchmark::State& state) {
   Rng rng(6);

@@ -39,18 +39,17 @@ ExactParetoResult RunExactPareto(const PlanFactory& factory,
         const TableSet q1 = split.Subset();
         const TableSet q2 = split.Complement();
         if (!factory.CanCombine(q1, q2)) continue;
-        // Iterate over copies of the sub-frontiers' entries: the arena may
-        // reallocate during insertion.
-        const std::vector<ParetoFrontier::Entry> p1 =
+        // Only q's frontier grows below, so the sub-frontiers are read in
+        // place.
+        const std::vector<ParetoFrontier::Entry>& p1 =
             result.frontier_by_mask[q1.mask()].entries();
-        const std::vector<ParetoFrontier::Entry> p2 =
+        const std::vector<ParetoFrontier::Entry>& p2 =
             result.frontier_by_mask[q2.mask()].entries();
         for (const ParetoFrontier::Entry& a : p1) {
           for (const ParetoFrontier::Entry& b : p2) {
-            const PlanNode left = result.arena.at(static_cast<PlanId>(a.payload));
-            const PlanNode right = result.arena.at(static_cast<PlanId>(b.payload));
             factory.ForEachJoin(
-                left, right,
+                result.arena.at(static_cast<PlanId>(a.payload)),
+                result.arena.at(static_cast<PlanId>(b.payload)),
                 [&](const OperatorDesc& op, const OpCost& oc) {
                   ++result.plans_generated;
                   if (!RespectsBounds(oc.cost, bounds)) return;

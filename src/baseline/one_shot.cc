@@ -13,11 +13,11 @@ void InsertPruned(const PlanArena& arena, std::vector<PlanId>& set,
                   double alpha) {
   const CostVector scaled = cost.Scaled(alpha);
   for (PlanId other : set) {
-    const PlanNode& node = arena.at(other);
+    const PlanNode node = arena.at(other);
     if (node.order == order && node.cost.Dominates(scaled)) return;
   }
   for (size_t i = 0; i < set.size();) {
-    const PlanNode& node = arena.at(set[i]);
+    const PlanNode node = arena.at(set[i]);
     if (node.order == order && cost.Dominates(node.cost)) {
       set[i] = set.back();
       set.pop_back();
@@ -74,12 +74,9 @@ OneShotResult RunOneShot(const PlanFactory& factory, double alpha,
         const std::vector<PlanId>& p2 = result.plans_by_mask[q2.mask()];
         for (PlanId a : p1) {
           for (PlanId b : p2) {
-            // Copy the nodes: the callback below appends to the arena,
-            // which may reallocate and invalidate references into it.
-            const PlanNode left = result.arena.at(a);
-            const PlanNode right = result.arena.at(b);
             factory.ForEachJoin(
-                left, right, [&](const OperatorDesc& op, const OpCost& oc) {
+                result.arena.at(a), result.arena.at(b),
+                [&](const OperatorDesc& op, const OpCost& oc) {
                   ++result.plans_generated;
                   if (!RespectsBounds(oc.cost, bounds)) return;
                   const PlanId id = result.arena.AddJoin(

@@ -60,17 +60,15 @@ SingleObjectiveResult RunSingleObjective(
             best[q2.mask()] == kInvalidPlan) {
           continue;
         }
-        const PlanNode left = result.arena.at(best[q1.mask()]);
-        const PlanNode right = result.arena.at(best[q2.mask()]);
-        const PlanId left_id = best[q1.mask()];
-        const PlanId right_id = best[q2.mask()];
-        factory.ForEachJoin(left, right,
+        const PlanId left = best[q1.mask()];
+        const PlanId right = best[q2.mask()];
+        factory.ForEachJoin(result.arena.at(left), result.arena.at(right),
                             [&](const OperatorDesc& op, const OpCost& oc) {
                               ++result.plans_generated;
                               const double v = Scalarize(oc.cost, weights);
                               if (v < value[mask]) {
                                 best[mask] = result.arena.AddJoin(
-                                    q, left_id, right_id, op, oc.cost,
+                                    q, left, right, op, oc.cost,
                                     oc.output_rows);
                                 value[mask] = v;
                               }

@@ -7,11 +7,10 @@
 namespace moqo {
 namespace {
 
+// A plan awaiting pruning and its sort key; the cost stays in the arena.
 struct BatchEntry {
-  uint32_t id = 0;
-  CostVector cost;
   double score = 0.0;
-  uint8_t order = 0;
+  PlanId id = 0;
 };
 
 // Orders a batch of plans so that cheap plans are pruned first. The score
@@ -20,19 +19,21 @@ struct BatchEntry {
 // dominates b then score(a) <= score(b), so dominating plans enter the
 // result set before the plans they suppress. This keeps the append-only
 // result sets close to minimal (see OptimizerOptions::sorted_pruning).
-void SortBatch(std::vector<BatchEntry>& batch) {
+void SortBatch(const PlanArena& arena, std::vector<BatchEntry>& batch) {
   if (batch.size() < 2) return;
-  const int dims = batch[0].cost.dims();
+  const int dims = arena.dims();
   CostVector scale(dims, 0.0);
   for (const BatchEntry& e : batch) {
-    for (int i = 0; i < dims; ++i) scale[i] += e.cost.at(i);
+    const double* cost = arena.cost_data(e.id);
+    for (int i = 0; i < dims; ++i) scale[i] += cost[i];
   }
   for (int i = 0; i < dims; ++i) {
     scale[i] = scale[i] > 0.0 ? batch.size() / scale[i] : 0.0;
   }
   for (BatchEntry& e : batch) {
+    const double* cost = arena.cost_data(e.id);
     double score = 0.0;
-    for (int i = 0; i < dims; ++i) score += e.cost.at(i) * scale.at(i);
+    for (int i = 0; i < dims; ++i) score += cost[i] * scale.at(i);
     e.score = score;
   }
   std::sort(batch.begin(), batch.end(),
@@ -78,11 +79,11 @@ IncrementalOptimizer::IncrementalOptimizer(const PlanFactory& factory,
       const PlanId id =
           arena_.AddScan(q, op, oc.cost, oc.output_rows, oc.order);
       ++counters_.plans_generated;
-      batch.push_back({id, oc.cost, 0.0, oc.order});
+      batch.push_back({0.0, id});
     });
-    if (options_.sorted_pruning) SortBatch(batch);
+    if (options_.sorted_pruning) SortBatch(arena_, batch);
     for (const BatchEntry& e : batch) {
-      PrunePlan(q, e.id, e.cost, e.order, initial_bounds, /*resolution=*/0);
+      PrunePlan(q, e.id, initial_bounds, /*resolution=*/0);
     }
   }
 
@@ -203,16 +204,16 @@ IncrementalOptimizer::TakePublishableFragments() {
   return out;
 }
 
-void IncrementalOptimizer::PrunePlan(TableSet q, uint32_t plan_id,
-                                     const CostVector& cost, int order,
+void IncrementalOptimizer::PrunePlan(TableSet q, PlanId plan_id,
                                      const CostVector& bounds,
                                      int resolution) {
+  const PlanNode node = arena_.at(plan_id);
   const int compare_resolution = options_.prune_against_all_resolutions
                                      ? schedule_.MaxResolution()
                                      : resolution;
   const PruneOutcome outcome =
       Prune(res_.For(q), cand_.For(q), bounds, resolution, compare_resolution,
-            schedule_, plan_id, cost, order, invocation_,
+            schedule_, plan_id, node.cost, node.order, invocation_,
             options_.park_next_level_only, &counters_);
   // Fragment publishing logs every multi-table result insertion in
   // chronological order — replaying the log reproduces the cell's index
@@ -220,9 +221,8 @@ void IncrementalOptimizer::PrunePlan(TableSet q, uint32_t plan_id,
   // diverged from the publishable fixed-bounds sequence.
   if (outcome == PruneOutcome::kInsertedResult && !publish_log_.empty() &&
       publish_valid_ && q.Count() >= 2) {
-    const PlanNode& node = arena_.at(plan_id);
-    publish_log_[q.mask()].push_back({cost, node.output_cardinality, node.op,
-                                      static_cast<uint8_t>(order),
+    publish_log_[q.mask()].push_back({node.cost, node.output_cardinality,
+                                      node.op, node.order,
                                       static_cast<uint8_t>(resolution)});
   }
 }
@@ -268,11 +268,11 @@ void IncrementalOptimizer::Optimize(const CostVector& bounds,
       batch.reserve(drained.size());
       for (const CellIndex::Entry& e : drained) {
         counters_.OnCandidateRetrieved(e.id);
-        batch.push_back({e.id, e.cost, 0.0, e.order});
+        batch.push_back({0.0, e.id});
       }
-      if (options_.sorted_pruning) SortBatch(batch);
+      if (options_.sorted_pruning) SortBatch(arena_, batch);
       for (const BatchEntry& e : batch) {
-        PrunePlan(q, e.id, e.cost, e.order, bounds, resolution);
+        PrunePlan(q, e.id, bounds, resolution);
       }
     }
   }
@@ -317,16 +317,13 @@ void IncrementalOptimizer::Phase2Serial(const CostVector& bounds,
             return;
           }
           ++counters_.pairs_generated;
-          // Copy the nodes: the callback below appends to the arena,
-          // which may reallocate and invalidate references into it.
-          const PlanNode left = arena_.at(a.id);
-          const PlanNode right = arena_.at(b.id);
           factory_.ForEachJoin(
-              left, right, [&](const OperatorDesc& op, const OpCost& oc) {
+              arena_.at(a.id), arena_.at(b.id),
+              [&](const OperatorDesc& op, const OpCost& oc) {
                 const PlanId id = arena_.AddJoin(
                     q, a.id, b.id, op, oc.cost, oc.output_rows, oc.order);
                 ++counters_.plans_generated;
-                batch.push_back({id, oc.cost, 0.0, oc.order});
+                batch.push_back({0.0, id});
               });
         };
 
@@ -344,9 +341,9 @@ void IncrementalOptimizer::Phase2Serial(const CostVector& bounds,
       }
       // Prune this table set's freshly generated plans, cheapest first,
       // before any superset of q consumes them.
-      if (options_.sorted_pruning) SortBatch(batch);
+      if (options_.sorted_pruning) SortBatch(arena_, batch);
       for (const BatchEntry& e : batch) {
-        PrunePlan(q, e.id, e.cost, e.order, bounds, resolution);
+        PrunePlan(q, e.id, bounds, resolution);
       }
     }
   }

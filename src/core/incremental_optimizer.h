@@ -144,9 +144,10 @@ class IncrementalOptimizer {
   void ReprobeFragments();
 
  private:
-  // Runs Prune for a plan of table set q.
-  void PrunePlan(TableSet q, uint32_t plan_id, const CostVector& cost,
-                 int order, const CostVector& bounds, int resolution);
+  // Runs Prune for plan `plan_id` of table set q, with the cost and
+  // order stored in the arena.
+  void PrunePlan(TableSet q, PlanId plan_id, const CostVector& bounds,
+                 int resolution);
 
   // Seeds and seals every connected multi-table cell the fragment
   // provider has a frontier for (constructor tail).

@@ -192,7 +192,9 @@ PlanFactory::PlanFactory(const Query& query,
       catalog_(std::move(catalog)),
       graph_(query, DerefCatalog(catalog_)),
       cost_model_(std::move(schema), cost_params),
-      op_options_(op_options) {
+      op_options_(op_options),
+      join_alternatives_{JoinAlternatives(false, op_options_),
+                         JoinAlternatives(true, op_options_)} {
   scan_alternatives_.reserve(query_.tables.size());
   scan_order_.reserve(query_.tables.size());
   for (int t = 0; t < query_.NumTables(); ++t) {

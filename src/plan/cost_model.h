@@ -161,9 +161,9 @@ class PlanFactory {
           1 + graph_.FirstPredicateBetween(left.tables, right.tables);
       if (merge_order > 255) merge_order = 0;  // Tag domain exhausted.
     }
-    for (const OperatorDesc& op :
-         JoinAlternatives(left.output_cardinality, right.output_cardinality,
-                          op_options_)) {
+    const bool nested_loop = NestedLoopApplies(
+        left.output_cardinality, right.output_cardinality, op_options_);
+    for (const OperatorDesc& op : join_alternatives_[nested_loop ? 1 : 0]) {
       fn(op, cost_model_.JoinCost(left, right, selectivity, op,
                                   merge_order));
     }
@@ -178,6 +178,8 @@ class PlanFactory {
   CostModel cost_model_;
   OperatorOptions op_options_;
   std::vector<std::vector<OperatorDesc>> scan_alternatives_;
+  // Join alternatives without [0] and with [1] block-nested-loop.
+  std::vector<OperatorDesc> join_alternatives_[2];
   // Interesting-order tag produced by an index scan of each table ref
   // (0 when orders are disabled or no predicate touches the table).
   std::vector<int> scan_order_;

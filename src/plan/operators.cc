@@ -54,19 +54,18 @@ std::vector<OperatorDesc> ScanAlternatives(const TableDef& table,
   return out;
 }
 
-std::vector<OperatorDesc> JoinAlternatives(double left_rows,
-                                           double right_rows,
+std::vector<OperatorDesc> JoinAlternatives(bool nested_loop,
                                            const OperatorOptions& options) {
+  const std::vector<int> workers = WorkerCounts(options.max_workers);
   std::vector<OperatorDesc> out;
-  for (int w : WorkerCounts(options.max_workers)) {
+  out.reserve(2 * workers.size() + 1);
+  for (int w : workers) {
     out.push_back(OperatorDesc::Join(JoinAlg::kHashJoin, w));
     if (options.enable_sort_merge) {
       out.push_back(OperatorDesc::Join(JoinAlg::kSortMergeJoin, w));
     }
   }
-  if (options.enable_nested_loop &&
-      (left_rows <= options.nested_loop_max_inner_rows ||
-       right_rows <= options.nested_loop_max_inner_rows)) {
+  if (nested_loop) {
     out.push_back(OperatorDesc::Join(JoinAlg::kBlockNestedLoop, 1));
   }
   return out;

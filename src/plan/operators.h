@@ -83,10 +83,27 @@ struct OperatorOptions {
 std::vector<OperatorDesc> ScanAlternatives(const TableDef& table,
                                            const OperatorOptions& options);
 
-// All join alternatives for inputs of the given estimated cardinalities.
-std::vector<OperatorDesc> JoinAlternatives(double left_rows,
-                                           double right_rows,
+// True if block-nested-loop is a join alternative for inputs of the
+// given estimated cardinalities.
+inline bool NestedLoopApplies(double left_rows, double right_rows,
+                              const OperatorOptions& options) {
+  return options.enable_nested_loop &&
+         (left_rows <= options.nested_loop_max_inner_rows ||
+          right_rows <= options.nested_loop_max_inner_rows);
+}
+
+// The join alternatives, with the block-nested-loop variant appended last
+// when `nested_loop` is set. Independent of the inputs otherwise, so
+// PlanFactory builds both lists once per query.
+std::vector<OperatorDesc> JoinAlternatives(bool nested_loop,
                                            const OperatorOptions& options);
+
+// All join alternatives for inputs of the given estimated cardinalities.
+inline std::vector<OperatorDesc> JoinAlternatives(
+    double left_rows, double right_rows, const OperatorOptions& options) {
+  return JoinAlternatives(NestedLoopApplies(left_rows, right_rows, options),
+                          options);
+}
 
 }  // namespace moqo
 

@@ -27,7 +27,7 @@ std::string FragmentName(const Query& query, TableSet tables) {
 
 void AppendPlan(const PlanArena& arena, PlanId id, const Query& query,
                 std::string* out) {
-  const PlanNode& node = arena.at(id);
+  const PlanNode node = arena.at(id);
   if (node.is_fragment) {
     *out += FragmentName(query, node.tables);
     return;
@@ -49,7 +49,7 @@ void AppendPlan(const PlanArena& arena, PlanId id, const Query& query,
 
 void AppendTree(const PlanArena& arena, PlanId id, const Query& query,
                 int depth, std::string* out) {
-  const PlanNode& node = arena.at(id);
+  const PlanNode node = arena.at(id);
   out->append(static_cast<size_t>(depth) * 2, ' ');
   if (node.is_fragment) {
     *out += FragmentName(query, node.tables);

@@ -285,5 +285,34 @@ TEST(PlanFactoryTest, ForEachScanYieldsAllAlternatives) {
             ScanAlternatives(table, op_options).size());
 }
 
+// ForEachJoin iterates the factory's cached join lists; they must match
+// JoinAlternatives for the inputs' cardinalities, in order, on both
+// sides of the block-nested-loop threshold.
+TEST(PlanFactoryTest, ForEachJoinYieldsJoinAlternativesInOrder) {
+  const Catalog catalog = MakeTpchCatalog();
+  const auto blocks = TpchBlocksWithTables(catalog, 2);
+  ASSERT_FALSE(blocks.empty());
+  OperatorOptions op_options;
+  op_options.max_workers = 4;
+  const PlanFactory factory(blocks[0], catalog, MetricSchema::Standard3(),
+                            CostModelParams{}, op_options);
+  JoinFixture f;
+  for (double rows : {100.0, 1e8}) {
+    f.left.output_cardinality = rows;
+    f.right.output_cardinality = rows;
+    const std::vector<OperatorDesc> want =
+        JoinAlternatives(rows, rows, op_options);
+    std::vector<OperatorDesc> got;
+    factory.ForEachJoin(f.left, f.right,
+                        [&](const OperatorDesc& op, const OpCost&) {
+                          got.push_back(op);
+                        });
+    ASSERT_EQ(got.size(), want.size()) << rows;
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got[i].ToString(), want[i].ToString()) << i;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace moqo

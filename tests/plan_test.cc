@@ -1,10 +1,14 @@
 // Tests for the plan arena, plan printing, and instrumentation counters.
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "core/counters.h"
 #include "plan/arena.h"
 #include "plan/plan_printer.h"
 #include "query/query.h"
+#include "util/rng.h"
 #include "viz/frontier_view.h"
 
 namespace moqo {
@@ -32,13 +36,122 @@ TEST(PlanArenaTest, AddScanAndJoin) {
   EXPECT_DOUBLE_EQ(arena.at(j).output_cardinality, 10.0);
 }
 
+// Appends `count` random scans, joins and fragments at `dims` metrics and
+// returns the nodes as appended, indexed by id.
+std::vector<PlanNode> FillArena(PlanArena& arena, int dims, size_t count,
+                                uint64_t seed) {
+  Rng rng(seed);
+  std::vector<PlanNode> added;
+  for (size_t i = 0; i < count; ++i) {
+    PlanNode n;
+    n.tables = TableSet(static_cast<uint32_t>(rng.Uniform(1u << 16)));
+    n.cost = CostVector(dims);
+    for (int d = 0; d < dims; ++d) n.cost[d] = rng.UniformDouble(0.0, 1e9);
+    n.output_cardinality = rng.UniformDouble(1.0, 1e12);
+    n.order = static_cast<uint8_t>(rng.Uniform(256));
+    const uint64_t kind = added.empty() ? 0 : rng.Uniform(3);
+    if (kind == 0) {
+      n.op = OperatorDesc::Scan(ScanAlg::kIndexScan,
+                                static_cast<int>(rng.UniformInt(1, 8)), 0.5);
+      EXPECT_EQ(arena.AddScan(n.tables, n.op, n.cost, n.output_cardinality,
+                              n.order),
+                added.size());
+    } else if (kind == 1) {
+      n.op = OperatorDesc::Join(JoinAlg::kSortMergeJoin,
+                                static_cast<int>(rng.UniformInt(1, 8)));
+      n.left = static_cast<PlanId>(rng.Uniform(added.size()));
+      n.right = static_cast<PlanId>(rng.Uniform(added.size()));
+      EXPECT_EQ(arena.AddJoin(n.tables, n.left, n.right, n.op, n.cost,
+                              n.output_cardinality, n.order),
+                added.size());
+    } else {
+      n.op = OperatorDesc::Join(JoinAlg::kHashJoin, 2);
+      n.is_fragment = true;
+      EXPECT_EQ(arena.AddFragment(n.tables, n.op, n.cost,
+                                  n.output_cardinality, n.order),
+                added.size());
+    }
+    added.push_back(n);
+  }
+  return added;
+}
+
+// Every field of every plan reads back exactly, through at() and
+// cost_data().
+void ExpectArenaHolds(const PlanArena& arena,
+                      const std::vector<PlanNode>& expected) {
+  ASSERT_EQ(arena.size(), expected.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    const PlanId id = static_cast<PlanId>(i);
+    const PlanNode& want = expected[i];
+    const PlanNode got = arena.at(id);
+    ASSERT_EQ(got.tables, want.tables) << "id " << id;
+    ASSERT_EQ(got.left, want.left) << "id " << id;
+    ASSERT_EQ(got.right, want.right) << "id " << id;
+    ASSERT_EQ(got.op.is_scan, want.op.is_scan) << "id " << id;
+    ASSERT_EQ(got.op.alg, want.op.alg) << "id " << id;
+    ASSERT_EQ(got.op.workers, want.op.workers) << "id " << id;
+    ASSERT_EQ(got.op.sampling_permille, want.op.sampling_permille)
+        << "id " << id;
+    ASSERT_EQ(got.output_cardinality, want.output_cardinality) << "id " << id;
+    ASSERT_EQ(got.order, want.order) << "id " << id;
+    ASSERT_EQ(got.is_fragment, want.is_fragment) << "id " << id;
+    ASSERT_EQ(got.cost.dims(), want.cost.dims()) << "id " << id;
+    for (int d = 0; d < want.cost.dims(); ++d) {
+      ASSERT_EQ(got.cost[d], want.cost[d]) << "id " << id << " dim " << d;
+      ASSERT_EQ(arena.cost_data(id)[d], want.cost[d])
+          << "id " << id << " dim " << d;
+    }
+  }
+}
+
+TEST(PlanArenaTest, ReadsBackEveryFieldAcrossChunks) {
+  const size_t count = 2 * PlanArena::kChunkPlans + 123;
+  for (int dims : {1, 3, kMaxMetrics}) {
+    SCOPED_TRACE(dims);
+    PlanArena arena;
+    const std::vector<PlanNode> added =
+        FillArena(arena, dims, count, static_cast<uint64_t>(dims));
+    EXPECT_EQ(arena.dims(), dims);
+    ExpectArenaHolds(arena, added);
+  }
+}
+
 TEST(PlanArenaTest, MoveTransfersOwnership) {
   PlanArena arena;
-  arena.AddScan(TableSet::Singleton(0),
-                OperatorDesc::Scan(ScanAlg::kSeqScan, 1, 1.0),
-                CostVector{1.0}, 10.0);
+  const std::vector<PlanNode> added =
+      FillArena(arena, 3, PlanArena::kChunkPlans + 7, 11);
   PlanArena moved = std::move(arena);
-  EXPECT_EQ(moved.size(), 1u);
+  ExpectArenaHolds(moved, added);
+  EXPECT_EQ(arena.size(), 0u);
+  PlanArena assigned;
+  assigned = std::move(moved);
+  ExpectArenaHolds(assigned, added);
+  // The emptied source takes appends again, at any dims.
+  EXPECT_EQ(moved.size(), 0u);
+  EXPECT_EQ(moved.AddScan(TableSet::Singleton(0),
+                          OperatorDesc::Scan(ScanAlg::kSeqScan, 1, 1.0),
+                          CostVector{1.0}, 1.0),
+            0u);
+}
+
+TEST(PlanArenaTest, StoresAtMost56BytesPerPlanAtThreeMetrics) {
+  EXPECT_LE(PlanArena::BytesPerPlan(3), 56u);
+}
+
+TEST(PlanArenaDeathTest, AtRejectsIdPastTheEnd) {
+  PlanArena arena;
+  FillArena(arena, 3, 5, 3);
+  EXPECT_DEATH(arena.at(static_cast<PlanId>(arena.size())), "id < size_");
+}
+
+TEST(PlanArenaDeathTest, AppendRejectsADifferentCostDimension) {
+  PlanArena arena;
+  FillArena(arena, 3, 5, 4);
+  EXPECT_DEATH(arena.AddScan(TableSet::Singleton(0),
+                             OperatorDesc::Scan(ScanAlg::kSeqScan, 1, 1.0),
+                             CostVector{1.0, 2.0}, 1.0),
+               "dims");
 }
 
 struct PrinterFixture {
