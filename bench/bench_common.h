@@ -130,39 +130,56 @@ struct FigureRowStats {
   }
 };
 
+// Each figure row is measured this many times and prints the median
+// with the smallest and largest repetition, so a vs_iama ratio is not
+// read off a single run.
+constexpr int kFigureRepetitions = 5;
+
 // Runs one figure configuration (one resolution-level count) over the
 // TPC-H workload and prints rows:
-//   levels, tables, algorithm, avg_ms, max_ms, speedup-vs-IAMA.
+//   levels, tables, algorithm, median/min/max over kFigureRepetitions of
+//   the per-invocation statistic (average, or maximum when report_max),
+//   and the median's ratio to IAMA's median.
 inline void RunFigureConfig(
     double alpha_target, double alpha_step, int levels, bool report_max,
     ResolutionSchedule::Kind kind = ResolutionSchedule::Kind::kLinear) {
   const Catalog catalog = MakeTpchCatalog();
   const ResolutionSchedule schedule(levels, alpha_target, alpha_step, kind);
   std::printf("# levels=%d alpha_T=%.4g alpha_S=%.4g metrics=3 "
-              "schedule=%s\n", levels, alpha_target, alpha_step,
+              "schedule=%s statistic=%s_ms_per_invocation repetitions=%d\n",
+              levels, alpha_target, alpha_step,
               kind == ResolutionSchedule::Kind::kLinear ? "linear"
-                                                        : "geometric");
-  std::printf("%-8s %-7s %-22s %12s %12s %10s\n", "levels", "tables",
-              "algorithm", "avg_ms", "max_ms", "vs_iama");
+                                                        : "geometric",
+              report_max ? "max" : "avg", kFigureRepetitions);
+  std::printf("%-8s %-7s %-22s %12s %12s %12s %10s\n", "levels", "tables",
+              "algorithm", "median_ms", "min_ms", "max_ms", "vs_iama");
+  const char* const kAlgorithms[] = {"incremental_anytime", "memoryless",
+                                     "one_shot"};
   for (int tables : TpchBlockTableCounts(catalog)) {
-    FigureRowStats iama, memoryless, one_shot;
-    for (const Query& query : TpchBlocksWithTables(catalog, tables)) {
-      const PlanFactory factory(query, catalog, MetricSchema::Standard3(),
-                                CostModelParams{}, BenchOperatorOptions());
-      iama.Add(RunIamaSeries(factory, schedule));
-      memoryless.Add(RunMemorylessSeries(factory, schedule));
-      one_shot.Add(RunOneShotOnce(factory, schedule));
+    const std::vector<Query> queries = TpchBlocksWithTables(catalog, tables);
+    // samples[a]: algorithm a's row statistic, one per repetition.
+    std::vector<double> samples[3];
+    for (int rep = 0; rep < kFigureRepetitions; ++rep) {
+      FigureRowStats stats[3];
+      for (const Query& query : queries) {
+        const PlanFactory factory(query, catalog, MetricSchema::Standard3(),
+                                  CostModelParams{}, BenchOperatorOptions());
+        stats[0].Add(RunIamaSeries(factory, schedule));
+        stats[1].Add(RunMemorylessSeries(factory, schedule));
+        stats[2].Add(RunOneShotOnce(factory, schedule));
+      }
+      for (int a = 0; a < 3; ++a) {
+        samples[a].push_back(report_max ? stats[a].max_ms : stats[a].AvgMs());
+      }
     }
-    const double iama_ref = report_max ? iama.max_ms : iama.AvgMs();
-    const auto row = [&](const char* name, const FigureRowStats& s) {
-      const double value = report_max ? s.max_ms : s.AvgMs();
-      std::printf("%-8d %-7d %-22s %12.3f %12.3f %9.2fx\n", levels, tables,
-                  name, s.AvgMs(), s.max_ms,
-                  iama_ref > 0.0 ? value / iama_ref : 0.0);
-    };
-    row("incremental_anytime", iama);
-    row("memoryless", memoryless);
-    row("one_shot", one_shot);
+    const double iama_median = Percentile(samples[0], 0.5);
+    for (int a = 0; a < 3; ++a) {
+      const double median = Percentile(samples[a], 0.5);
+      std::printf("%-8d %-7d %-22s %12.3f %12.3f %12.3f %9.2fx\n", levels,
+                  tables, kAlgorithms[a], median, Percentile(samples[a], 0.0),
+                  Percentile(samples[a], 1.0),
+                  iama_median > 0.0 ? median / iama_median : 0.0);
+    }
   }
   std::printf("\n");
 }

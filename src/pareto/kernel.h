@@ -1,12 +1,12 @@
 // Data-oriented Pareto kernel: struct-of-arrays cost banks and batched
 // dominance primitives.
 //
-// The enumeration/dominance inner loop is the service's per-step cost
-// wall (BENCH_service.json: ttff_p99 degrades ~5x as inflight grows at a
-// fixed worker budget). The classic layout — one heap node per indexed
-// plan holding a CostVector, compared entry-by-entry through checked
-// operator[] — is memory-bound: every dominance check walks 56-byte
-// structs to read 2-3 doubles. This kernel stores each cell's costs as
+// Pruning probes and Δ-collection filters compare one cost vector
+// against a whole cell, inside the enumeration loop. The classic
+// layout — one heap node per indexed plan holding a CostVector,
+// compared entry-by-entry through checked operator[] — is
+// memory-bound: every dominance check walks 56-byte structs to read
+// 2-3 doubles. This kernel stores each cell's costs as
 // contiguous per-metric lanes ("cost banks") and compares one candidate
 // against a whole cell with flat, vectorizable loops.
 //

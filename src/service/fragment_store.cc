@@ -942,16 +942,14 @@ uint64_t ResolveEpoch(FragmentStore* store,
 
 FragmentStoreProvider::FragmentStoreProvider(
     FragmentStore* store, const Query& query, const MetricSchema& schema,
-    const IamaOptions& iama, bool orders_enabled, int min_tables,
+    const IamaOptions& iama, bool orders_enabled,
     std::optional<uint64_t> pinned_epoch)
     : store_(store),
       binding_(query, schema, iama, orders_enabled,
-               ResolveEpoch(store, pinned_epoch)),
-      min_tables_(std::max(2, min_tables)) {}
+               ResolveEpoch(store, pinned_epoch)) {}
 
 std::optional<FragmentSeed> FragmentStoreProvider::Lookup(
     TableSet cell, int needed_resolution) {
-  if (cell.Count() < min_tables_) return std::nullopt;
   const std::string* key = binding_.KeyFor(cell);
   if (key == nullptr) return std::nullopt;
   std::shared_ptr<const StoredFragment> stored =
@@ -967,7 +965,6 @@ std::optional<FragmentSeed> FragmentStoreProvider::Lookup(
 void FragmentStoreProvider::PublishAll(
     std::vector<IncrementalOptimizer::PublishableFragment> fragments) {
   for (IncrementalOptimizer::PublishableFragment& frag : fragments) {
-    if (frag.cell.Count() < min_tables_) continue;
     const std::string* key = binding_.KeyFor(frag.cell);
     if (key == nullptr) continue;
     if (!binding_.OrdersToCanonical(frag.cell, &frag.plans)) continue;

@@ -395,16 +395,16 @@ class FragmentQueryBinding {
 class FragmentStoreProvider : public FragmentProvider {
  public:
   /// Binds `store` (which must outlive the provider) to one run's query
-  /// and options. Cells with fewer than `min_tables` tables are ignored
-  /// in both directions; `min_tables` is clamped to >= 2.
-  /// `pinned_epoch` fixes the store epoch the binding keys under —
-  /// serving layers pass the epoch observed at query *admission*, so a
-  /// catalog refresh between admission and the run's first step cannot
-  /// cross catalog generations (the run neither reads nor writes
-  /// post-refresh fragments). Defaults to the store's current epoch.
+  /// and options. The optimizer only looks up and publishes cells of
+  /// two or more tables. `pinned_epoch` fixes the store epoch the
+  /// binding keys under — serving layers pass the epoch observed at
+  /// query *admission*, so a catalog refresh between admission and the
+  /// run's first step cannot cross catalog generations (the run neither
+  /// reads nor writes post-refresh fragments). Defaults to the store's
+  /// current epoch.
   FragmentStoreProvider(FragmentStore* store, const Query& query,
                         const MetricSchema& schema, const IamaOptions& iama,
-                        bool orders_enabled, int min_tables,
+                        bool orders_enabled,
                         std::optional<uint64_t> pinned_epoch = std::nullopt);
 
   /// FragmentProvider hook: store lookup + order-tag localization.
@@ -413,14 +413,13 @@ class FragmentStoreProvider : public FragmentProvider {
 
   /// Publishes a completed run's cells
   /// (IncrementalOptimizer::TakePublishableFragments output). Cells that
-  /// were seeded, are too small, or fail canonicalization are skipped.
+  /// fail canonicalization are skipped.
   void PublishAll(std::vector<IncrementalOptimizer::PublishableFragment>
                       fragments);
 
  private:
   FragmentStore* store_;
   FragmentQueryBinding binding_;
-  int min_tables_;
 };
 
 }  // namespace moqo

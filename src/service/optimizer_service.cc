@@ -211,7 +211,6 @@ OptimizerService::OptimizerService(const Catalog& catalog,
     store_options.store_path = options_.fragment_store_path;
     store_options.cold_budget_bytes = options_.fragment_cold_budget_bytes;
     store_options.fsync_mode = options_.fragment_fsync;
-    store_options.fsync_interval_ms = options_.fragment_fsync_interval_ms;
     // With a store_path this replays the persistence log before any
     // query is admitted: the recovered epoch and cold index are in
     // place when the first lookup happens.
@@ -386,8 +385,7 @@ StatusOr<SubmitResponse> OptimizerService::Submit(SubmitRequest request) {
             "tenant '" + request.tenant + "' is at its in-flight quota (" +
             std::to_string(quota.max_inflight) + ")");
       }
-      auto flight = options_.coalesce_in_flight ? inflight_.find(key)
-                                                : inflight_.end();
+      auto flight = inflight_.find(key);
       const bool coalesces = flight != inflight_.end();
       if (!coalesces && options_.max_inflight_runs > 0 &&
           runs_.size() >= options_.max_inflight_runs) {
@@ -457,7 +455,7 @@ StatusOr<SubmitResponse> OptimizerService::Submit(SubmitRequest request) {
             Fnv1a64(key) % static_cast<uint64_t>(options_.num_shards));
         run->leader = id;
         entry->run = run.get();
-        if (options_.coalesce_in_flight) inflight_[key] = run->run_id;
+        inflight_[key] = run->run_id;
         if (fragment_store_ != nullptr) {
           // Fragment services build the session (an O(plan-space) seed
           // probe) at admission, outside the lock, and enqueue after:
@@ -717,9 +715,9 @@ void OptimizerService::BuildRun(RunState* run) {
     run->fragment_provider = std::make_unique<FragmentStoreProvider>(
         fragment_store_.get(), run->query, options_.schema, run->iama,
         options_.operator_options.enable_interesting_orders,
-        options_.fragment_min_tables, run->fragment_epoch);
+        run->fragment_epoch);
     iama.optimizer.fragment_store = run->fragment_provider.get();
-    iama.optimizer.fragment_publish = options_.fragment_publish;
+    iama.optimizer.fragment_publish = true;
   }
   run->session = std::make_unique<IamaSession>(*run->factory, iama);
 }

@@ -133,10 +133,6 @@ struct ServiceOptions {
   /// Number of scheduler shards, each one thread stepping sessions.
   /// Must be >= 1. More shards let more sessions step concurrently.
   int num_shards = 1;
-  /// Attach duplicate in-flight submissions to the running leader
-  /// instead of optimizing them a second time. Disable to force every
-  /// submission onto its own run (e.g. for scheduling benchmarks).
-  bool coalesce_in_flight = true;
   /// Capacity (entries) of the LRU frontier cache; 0 disables caching.
   size_t frontier_cache_capacity = 64;
   /// How many finished QueryResults are retained for Wait(); the oldest
@@ -151,14 +147,6 @@ struct ServiceOptions {
   /// seed the shared cells instead of enumerating them. One store is
   /// shared by all scheduler shards. 0 disables fragment sharing.
   size_t fragment_cache_bytes = 0;
-  /// Whether completed, non-diverged runs publish their cells back to
-  /// the fragment store. Disable to run the store read-only (e.g. a
-  /// pre-warmed benchmark). No effect while the store is disabled.
-  bool fragment_publish = true;
-  /// Smallest sub-join-graph (in tables) stored or seeded; clamped to
-  /// >= 2. Larger values trade hit opportunities for fewer, bigger
-  /// fragments.
-  int fragment_min_tables = 2;
   /// Path of the fragment store's persistent cold tier (an append-only
   /// log of serialized fragments, docs/FRAGMENT_PERSISTENCE.md). Empty
   /// keeps the store DRAM-only. With a path, the service replays the
@@ -176,8 +164,6 @@ struct ServiceOptions {
   size_t fragment_cold_budget_bytes = 0;
   /// Durability policy for the fragment log (optimizerd --fsync=...).
   FragmentFsyncMode fragment_fsync = FragmentFsyncMode::kNone;
-  /// Tick period of FragmentFsyncMode::kInterval, in milliseconds.
-  int fragment_fsync_interval_ms = 100;
   /// Admission backpressure: the maximum number of physical runs (live
   /// optimizations, queued or stepping) the service holds at once.
   /// A Submit that would create a run beyond this bound is load-shed
@@ -450,7 +436,7 @@ class OptimizerService {
   std::unordered_map<QueryId, std::unique_ptr<QueryEntry>> entries_;
   std::unordered_map<uint64_t, std::unique_ptr<RunState>> runs_;
   // Canonical key -> run id of the non-diverged in-flight run new
-  // duplicates attach to. Maintained only when coalescing is enabled.
+  // duplicates attach to.
   std::unordered_map<std::string, uint64_t> inflight_;
   std::vector<std::deque<uint64_t>> shard_queues_;  // Round-robin per shard.
   std::unordered_map<QueryId, StoredResult> results_;

@@ -244,8 +244,8 @@ struct ServiceStats {
   /// snapshot of the same service): every monotonic counter is
   /// subtracted, the fragment_bytes gauge keeps its current value.
   /// Lives next to the field list so adding a counter and keeping
-  /// delta-reporting tools (e.g. bench_service_throughput's warm
-  /// pre-pass) honest is one edit, not two.
+  /// delta-reporting tools (e.g. perfbench's per-pass serving stats)
+  /// honest is one edit, not two.
   ServiceStats Since(const ServiceStats& baseline) const {
     ServiceStats d = *this;
     d.submitted -= baseline.submitted;

@@ -56,7 +56,6 @@ TEST(CatalogRefreshStressTest, RefreshRacesSubmitCancelWait) {
   if (queries.size() > 3) queries.resize(3);
 
   ServiceOptions service_opts;
-  service_opts.num_threads = 2;
   service_opts.num_shards = 2;
   service_opts.frontier_cache_capacity = 8;
   service_opts.fragment_cache_bytes = 4 << 20;
@@ -171,7 +170,6 @@ TEST(CatalogRefreshStressTest, RefreshRacesDestruction) {
   std::vector<Query> queries = TpchQueryBlocks(catalog);
   queries.resize(2);
   ServiceOptions service_opts;
-  service_opts.num_threads = 2;
   service_opts.num_shards = 2;
   service_opts.operator_options = TinyOperatorOptions(/*sampling=*/true);
   SubmitRequest submit;

@@ -491,11 +491,10 @@ Query OverlapQuery(int variant) {
 
 ServiceOptions PersistentServiceOptions(const std::string& store_path) {
   ServiceOptions options;
-  options.num_threads = 2;
   options.num_shards = 2;
-  // Isolate the fragment path: no whole-query cache, no coalescing.
+  // Isolate the fragment path: no whole-query cache. Tests submit each
+  // query after the previous one finished, so none coalesces.
   options.frontier_cache_capacity = 0;
-  options.coalesce_in_flight = false;
   options.fragment_cache_bytes = 16u << 20;
   options.fragment_store_path = store_path;
   return options;

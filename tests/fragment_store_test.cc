@@ -22,10 +22,13 @@
 #include "catalog/tpch.h"
 #include "core/iama.h"
 #include "pareto/coverage.h"
+#include "query/generator.h"
 #include "query/query.h"
+#include "query/tpch_queries.h"
 #include "service/fragment_store.h"
 #include "service/optimizer_service.h"
 #include "test_helpers.h"
+#include "util/rng.h"
 
 namespace moqo {
 namespace {
@@ -137,8 +140,7 @@ std::vector<std::vector<std::vector<double>>> WarmStore(
   IamaSession session(factory, donor_iama);
   auto trajectory = RunTrajectory(&session, iama.schedule.NumLevels());
   FragmentStoreProvider provider(store, query, schema, iama,
-                                 op_options.enable_interesting_orders,
-                                 /*min_tables=*/2);
+                                 op_options.enable_interesting_orders);
   provider.PublishAll(
       session.mutable_optimizer()->TakePublishableFragments());
   return trajectory;
@@ -302,7 +304,7 @@ TEST(FragmentSeedingTest, FullyWarmRunIsBitIdenticalWithZeroPairs) {
   const MetricSchema schema = MetricSchema::Standard3();
   PlanFactory factory(query, catalog, schema, CostModelParams{}, op_options);
   FragmentStoreProvider provider(&store, query, schema, iama,
-                                 op_options.enable_interesting_orders, 2);
+                                 op_options.enable_interesting_orders);
   IamaOptions seeded_iama = iama;
   seeded_iama.optimizer.fragment_store = &provider;
   IamaSession session(factory, seeded_iama);
@@ -336,7 +338,7 @@ TEST(FragmentSeedingTest, OverlappingQueriesStayBitIdenticalAndSaveWork) {
     const uint64_t cold_pairs = cold.optimizer().counters().pairs_generated;
 
     FragmentStoreProvider provider(&store, query, schema, iama,
-                                   op_options.enable_interesting_orders, 2);
+                                   op_options.enable_interesting_orders);
     IamaOptions seeded_iama = iama;
     seeded_iama.optimizer.fragment_store = &provider;
     seeded_iama.optimizer.fragment_publish = true;
@@ -404,7 +406,7 @@ TEST(FragmentSeedingTest, OrderTagsSurviveCanonicalRoundTrip) {
       RunTrajectory(&cold, iama.schedule.NumLevels());
 
   FragmentStoreProvider provider(&store, consumer, schema, iama,
-                                 /*orders_enabled=*/true, 2);
+                                 /*orders_enabled=*/true);
   IamaOptions seeded_iama = iama;
   seeded_iama.optimizer.fragment_store = &provider;
   IamaSession warm(factory, seeded_iama);
@@ -446,7 +448,7 @@ TEST(FragmentSeedingTest, DivergedSeededRunStaysCorrectAndNeverPublishes) {
   new_bounds = new_bounds.Scaled(0.75);  // Tighter than the full frontier.
 
   FragmentStoreProvider provider(&store, query, schema, iama,
-                                 op_options.enable_interesting_orders, 2);
+                                 op_options.enable_interesting_orders);
   IamaOptions seeded_iama = iama;
   seeded_iama.optimizer.fragment_store = &provider;
   seeded_iama.optimizer.fragment_publish = true;
@@ -483,16 +485,64 @@ TEST(FragmentSeedingTest, DivergedSeededRunStaysCorrectAndNeverPublishes) {
       session.mutable_optimizer()->TakePublishableFragments().empty());
 }
 
+// Records every cell the optimizer looks up; every lookup misses.
+class RecordingProvider : public FragmentProvider {
+ public:
+  std::optional<FragmentSeed> Lookup(TableSet cell, int) override {
+    cells.push_back(cell);
+    return std::nullopt;
+  }
+  std::vector<TableSet> cells;
+};
+
+// The optimizer alone keeps single-table cells away from the fragment
+// hook, in both directions: FragmentStoreProvider has no size filter of
+// its own. Checked on a TPC-H block and on a random star.
+TEST(FragmentSeedingTest, OptimizerExchangesOnlyMultiTableCells) {
+  Catalog catalog = MakeTpchCatalog();
+  Rng rng(5);
+  GeneratorOptions gen;
+  gen.num_tables = 5;
+  gen.topology = Topology::kStar;
+  const Query star = RandomQuery(rng, gen, &catalog);
+  const Query tpch = TpchBlocksWithTables(catalog, 4).front();
+  const OperatorOptions op_options = TinyOperatorOptions(/*sampling=*/true);
+  const IamaOptions iama = SmallIama();
+  const CostVector inf = CostVector::Infinite(3);
+  for (const Query& query : {tpch, star}) {
+    const PlanFactory factory(query, catalog, MetricSchema::Standard3(),
+                              CostModelParams{}, op_options);
+    RecordingProvider provider;
+    OptimizerOptions options = iama.optimizer;
+    options.fragment_store = &provider;
+    options.fragment_publish = true;
+    IncrementalOptimizer optimizer(factory, iama.schedule, inf, options);
+    optimizer.ReprobeFragments();
+    for (int r = 0; r <= iama.schedule.MaxResolution(); ++r) {
+      optimizer.Optimize(inf, r);
+    }
+    const std::vector<IncrementalOptimizer::PublishableFragment> published =
+        optimizer.TakePublishableFragments();
+    ASSERT_FALSE(provider.cells.empty()) << query.name;
+    ASSERT_FALSE(published.empty()) << query.name;
+    for (TableSet cell : provider.cells) {
+      EXPECT_GE(cell.Count(), 2) << query.name;
+    }
+    for (const IncrementalOptimizer::PublishableFragment& f : published) {
+      EXPECT_GE(f.cell.Count(), 2) << query.name;
+    }
+  }
+}
+
 // --- Service-level tests -----------------------------------------------------
 
 ServiceOptions FragmentServiceOptions(int shards, size_t fragment_bytes) {
   ServiceOptions options;
-  options.num_threads = 2;
   options.num_shards = shards;
   options.operator_options = TinyOperatorOptions(/*sampling=*/true);
-  // Isolate the fragment path: no whole-query cache, no coalescing.
+  // Isolate the fragment path: no whole-query cache. Tests submit each
+  // query after the previous one finished, so none coalesces.
   options.frontier_cache_capacity = 0;
-  options.coalesce_in_flight = false;
   options.fragment_cache_bytes = fragment_bytes;
   return options;
 }
@@ -756,7 +806,7 @@ TEST(OptimizerServiceFragmentTest, SubmitRejectsFragmentKnobs) {
   FragmentStore store({1 << 20});
   FragmentStoreProvider provider(&store, CoreQuery(),
                                  MetricSchema::Standard3(), SmallIama(),
-                                 false, 2);
+                                 false);
   SubmitRequest bad = FragmentSubmitRequest();
   bad.iama.optimizer.fragment_store = &provider;
   EXPECT_EQ(SubmitQuery(service, CoreQuery(), bad).status().code(),

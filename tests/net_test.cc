@@ -333,10 +333,7 @@ struct TestServer {
   explicit TestServer(ServiceOptions service_options = {},
                       ServerOptions server_options = {}) {
     catalog = MakeTpchCatalog();
-    if (service_options.num_threads == 1 && service_options.num_shards == 1) {
-      service_options.num_threads = 2;
-      service_options.num_shards = 2;
-    }
+    if (service_options.num_shards == 1) service_options.num_shards = 2;
     service =
         std::make_unique<OptimizerService>(catalog, service_options);
     server = std::make_unique<OptimizerServer>(service.get(),
@@ -355,7 +352,6 @@ TEST(NetServerTest, RemoteResultsBitIdenticalToInProcess) {
   // no shared state — the in-process reference.
   Catalog catalog = MakeTpchCatalog();
   ServiceOptions local_options;
-  local_options.num_threads = 2;
   local_options.num_shards = 2;
   OptimizerService local(catalog, local_options);
 
@@ -399,10 +395,10 @@ TEST(NetServerTest, RemoteResultsBitIdenticalToInProcess) {
 // cells from the fragment store, later admissions report the credit.
 TEST(NetServerTest, FragmentWarmHitsReportedOverWire) {
   ServiceOptions service_options;
-  // Isolate the fragment path: no whole-query cache, no coalescing, so
-  // every repeat submission actually runs (and seeds).
+  // Isolate the fragment path: no whole-query cache, so every repeat
+  // submission actually runs (and seeds). Each submission waits for the
+  // previous one, so none coalesces.
   service_options.frontier_cache_capacity = 0;
-  service_options.coalesce_in_flight = false;
   service_options.fragment_cache_bytes = 16 << 20;
   TestServer remote(service_options);
   OptimizerClient client;
@@ -490,7 +486,6 @@ TEST(NetServerTest, ConcurrentSessionsMatchInProcess) {
 
   Catalog catalog = MakeTpchCatalog();
   ServiceOptions local_options;
-  local_options.num_threads = 2;
   local_options.num_shards = 2;
   OptimizerService local(catalog, local_options);
   for (size_t qi = 0; qi < queries.size(); ++qi) {
@@ -508,7 +503,6 @@ TEST(NetServerTest, ConcurrentSessionsMatchInProcess) {
 
 TEST(NetServerTest, QuotaExceededOverTheWire) {
   ServiceOptions service_options;
-  service_options.num_threads = 2;
   service_options.num_shards = 2;
   TenantQuota quota;
   quota.max_inflight = 1;
@@ -554,7 +548,6 @@ TEST(NetServerTest, QuotaExceededOverTheWire) {
 
 TEST(NetServerTest, SheddingCarriesRetryAfterHint) {
   ServiceOptions service_options;
-  service_options.num_threads = 2;
   service_options.num_shards = 2;
   service_options.max_inflight_runs = 1;
   service_options.shed_retry_hint_ms = 40.0;
@@ -687,7 +680,6 @@ TEST(NetServerTest, RunIdsAreConnectionScoped) {
 // completing. This is the end-to-end form of the backpressure guarantee.
 TEST(NetServerTest, StalledClientDoesNotStarveOthers) {
   ServiceOptions service_options;
-  service_options.num_threads = 1;
   service_options.num_shards = 1;  // One shard: any stall would show.
   ServerOptions server_options;
   // Tiny socket buffers so the stalled connection's thread blocks on the

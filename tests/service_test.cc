@@ -17,6 +17,7 @@
 #include <condition_variable>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -29,6 +30,7 @@
 #include "service/optimizer_service.h"
 #include "test_helpers.h"
 #include "util/rng.h"
+#include "util/str.h"
 
 namespace moqo {
 namespace {
@@ -812,33 +814,56 @@ TEST(OptimizerServiceApplyBoundsTest, FollowerBoundsApplyToSharedRun) {
 }
 
 TEST(OptimizerServiceShardingTest, IdleShardsStealQueuedRuns) {
-  // With coalescing disabled, duplicates of one canonical key all hash
-  // to the same home shard; the other three shards can only make
-  // progress by stealing — and every stolen run must still produce the
-  // canonical frontier.
-  const Workload w = MakeWorkload(/*num_random=*/0);
-  ServiceOptions opts = SmallServiceOptions();
-  opts.num_shards = 4;
-  opts.coalesce_in_flight = false;
-  opts.frontier_cache_capacity = 0;  // Every submission optimizes.
-  OptimizerService service(w.catalog, opts);
-  const SubmitRequest submit = SmallSubmitRequest();
-  const int iterations = submit.iama.schedule.NumLevels();
-  const Query& q = w.queries.front();
-
+  // Distinct queries whose canonical keys all hash to home shard 0: the
+  // other three shards can only make progress by stealing — and every
+  // stolen run must still produce its own sequential frontier.
+  const int kShards = 4;
   const int kRuns = 16;
+  Catalog catalog = MakeTpchCatalog();
+  const SubmitRequest submit = SmallSubmitRequest();
+  // Keys embed the catalog version, which every generated table
+  // advances: draw all candidates first, then keep those homed on 0.
+  std::vector<Query> candidates;
+  Rng rng(7);
+  for (int i = 0; i < 8 * kRuns; ++i) {
+    GeneratorOptions gen;
+    gen.num_tables = 4;
+    gen.topology = i % 2 == 0 ? Topology::kChain : Topology::kStar;
+    Query q = RandomQuery(rng, gen, &catalog);
+    q.name = "steal" + std::to_string(i);
+    candidates.push_back(std::move(q));
+  }
+  std::vector<Query> homed;
+  std::set<std::string> keys;
+  for (Query& q : candidates) {
+    const std::string key = CanonicalQueryKey(
+        q, SmallServiceOptions().schema, submit, catalog.version());
+    if (static_cast<int>(homed.size()) < kRuns &&
+        Fnv1a64(key) % kShards == 0 && keys.insert(key).second) {
+      homed.push_back(std::move(q));
+    }
+  }
+  ASSERT_EQ(static_cast<int>(homed.size()), kRuns);
+  ServiceOptions opts = SmallServiceOptions();
+  opts.num_shards = kShards;
+  opts.frontier_cache_capacity = 0;
+  OptimizerService service(catalog, opts);
+  ASSERT_EQ(service.catalog_version(), catalog.version());
+  const int iterations = submit.iama.schedule.NumLevels();
+
   std::vector<QueryId> ids;
-  for (int i = 0; i < kRuns; ++i) {
+  for (const Query& q : homed) {
     ids.push_back(SubmitQuery(service, q, submit).value());
   }
-  const FrontierSnapshot reference = SequentialFinalSnapshot(
-      q, w.catalog, SmallServiceOptions(), submit.iama, iterations);
-  for (QueryId id : ids) {
-    const QueryResult r = service.Wait(id);
+  for (size_t i = 0; i < ids.size(); ++i) {
+    const QueryResult r = service.Wait(ids[i]);
     EXPECT_EQ(r.state, QueryState::kDone);
     EXPECT_FALSE(r.coalesced);
+    const FrontierSnapshot reference = SequentialFinalSnapshot(
+        homed[i], catalog, SmallServiceOptions(), submit.iama, iterations);
     ASSERT_EQ(FrontierSignature(r.frontier.plans),
-              FrontierSignature(reference.plans));
+              FrontierSignature(reference.plans))
+        << homed[i].name;
   }
   const ServiceStats stats = service.stats();
   EXPECT_EQ(stats.coalesced, 0u);

@@ -192,7 +192,6 @@ TEST(SnapshotStreamTest, PokeNeverHitsARecycledDescriptor) {
 
 ServiceOptions TwoShardOptions() {
   ServiceOptions options;
-  options.num_threads = 2;
   options.num_shards = 2;
   return options;
 }
@@ -237,7 +236,6 @@ TEST(SnapshotStreamServiceTest, SubscriptionStreamsEveryStepWhenRoomy) {
 TEST(SnapshotStreamServiceTest, SlowSubscriberStallsNothing) {
   Catalog catalog = MakeTpchCatalog();
   ServiceOptions options;
-  options.num_threads = 1;
   options.num_shards = 1;  // One shard: a stall would block *everything*.
   OptimizerService service(catalog, options);
   std::vector<Query> queries = TpchQueryBlocks(catalog);
