@@ -1,9 +1,10 @@
 // Micro-benchmarks (google-benchmark) for the performance-critical
 // primitives: cost-vector dominance, cell-index insert / range query /
-// drain, plan-arena append and read-back, Pareto frontier maintenance,
-// and the Prune procedure.
+// drain / bucket computation, plan-arena append and read-back, the
+// fresh-pair set, Pareto frontier maintenance, and the Prune procedure.
 #include <benchmark/benchmark.h>
 
+#include "core/fresh.h"
 #include "core/pruning.h"
 #include "index/cell_index.h"
 #include "pareto/dominance.h"
@@ -96,6 +97,47 @@ void BM_CellIndexAnyInRange(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CellIndexAnyInRange);
+
+// The per-metric cell coordinate of 4096 costs spread over eight decades,
+// at the optimizer's default γ = 2 (every Insert and range query computes
+// one per metric).
+void BM_CellIndexBucket(benchmark::State& state) {
+  Rng rng(9);
+  std::vector<double> values;
+  for (int i = 0; i < 4096; ++i) {
+    values.push_back(std::pow(10.0, rng.UniformDouble(-2.0, 6.0)));
+  }
+  const CellIndex index(3);
+  for (auto _ : state) {
+    int sum = 0;
+    for (const double v : values) sum += index.Bucket(v);
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(state.iterations() * 4096);
+}
+BENCHMARK(BM_CellIndexBucket);
+
+// Marks N distinct pseudo-random (left, right) plan-id pairs in a fresh
+// registry, growth included, as phase 2 does for every enumerated pair.
+void BM_FreshPairMark(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  Rng rng(10);
+  std::vector<std::pair<uint32_t, uint32_t>> pairs;
+  pairs.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    pairs.emplace_back(static_cast<uint32_t>(rng.Uniform(1u << 24)),
+                       static_cast<uint32_t>(i));
+  }
+  for (auto _ : state) {
+    FreshPairRegistry reg;
+    for (const auto& [left, right] : pairs) {
+      benchmark::DoNotOptimize(reg.Mark(left, right));
+    }
+    benchmark::DoNotOptimize(reg.size());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
+}
+BENCHMARK(BM_FreshPairMark)->Arg(65536)->Arg(1 << 20);
 
 // Appends N join plans at 3 metrics to a fresh arena, then reads every
 // plan back by id, as phase 2 and the batch sort do.

@@ -5,13 +5,6 @@
 #include "core/pruning.h"
 
 namespace moqo {
-namespace {
-
-// A plan awaiting pruning and its sort key; the cost stays in the arena.
-struct BatchEntry {
-  double score = 0.0;
-  PlanId id = 0;
-};
 
 // Orders a batch of plans so that cheap plans are pruned first. The score
 // is a positive-weighted sum of the cost components (normalized by the
@@ -19,7 +12,8 @@ struct BatchEntry {
 // dominates b then score(a) <= score(b), so dominating plans enter the
 // result set before the plans they suppress. This keeps the append-only
 // result sets close to minimal (see OptimizerOptions::sorted_pruning).
-void SortBatch(const PlanArena& arena, std::vector<BatchEntry>& batch) {
+void IncrementalOptimizer::SortBatch(const PlanArena& arena,
+                                     std::vector<BatchEntry>& batch) {
   if (batch.size() < 2) return;
   const int dims = arena.dims();
   CostVector scale(dims, 0.0);
@@ -41,8 +35,6 @@ void SortBatch(const PlanArena& arena, std::vector<BatchEntry>& batch) {
               return a.score < b.score;
             });
 }
-
-}  // namespace
 
 IncrementalOptimizer::IncrementalOptimizer(const PlanFactory& factory,
                                            ResolutionSchedule schedule,
@@ -79,12 +71,10 @@ IncrementalOptimizer::IncrementalOptimizer(const PlanFactory& factory,
       const PlanId id =
           arena_.AddScan(q, op, oc.cost, oc.output_rows, oc.order);
       ++counters_.plans_generated;
-      batch.push_back({0.0, id});
+      batch.push_back({0.0, id, oc.order});
     });
     if (options_.sorted_pruning) SortBatch(arena_, batch);
-    for (const BatchEntry& e : batch) {
-      PrunePlan(q, e.id, initial_bounds, /*resolution=*/0);
-    }
+    PruneBatch(q, batch, initial_bounds, /*resolution=*/0);
   }
 
   current_bounds_ = initial_bounds;
@@ -204,16 +194,40 @@ IncrementalOptimizer::TakePublishableFragments() {
   return out;
 }
 
-void IncrementalOptimizer::PrunePlan(TableSet q, PlanId plan_id,
+void IncrementalOptimizer::PruneBatch(TableSet q,
+                                      const std::vector<BatchEntry>& batch,
+                                      const CostVector& bounds,
+                                      int resolution) {
+  // After the sort the ids are in random order, so each plan's cost lane
+  // is a cache miss; fetching it this many plans ahead hides the miss
+  // behind the prunes in between.
+  constexpr size_t kPrefetchAhead = 16;
+  if (batch.empty()) return;  // For() would create q's sets.
+  CellIndex& res = res_.For(q);
+  CellIndex& cand = cand_.For(q);
+  for (size_t i = 0; i < batch.size(); ++i) {
+    if (i + kPrefetchAhead < batch.size()) {
+      __builtin_prefetch(arena_.cost_data(batch[i + kPrefetchAhead].id));
+    }
+    PrunePlan(q, res, cand, batch[i], bounds, resolution);
+  }
+}
+
+void IncrementalOptimizer::PrunePlan(TableSet q, CellIndex& res,
+                                     CellIndex& cand, const BatchEntry& plan,
                                      const CostVector& bounds,
                                      int resolution) {
-  const PlanNode node = arena_.at(plan_id);
+  MOQO_CHECK(plan.id < arena_.size());
+  const int dims = arena_.dims();
+  const double* lane = arena_.cost_data(plan.id);
+  CostVector cost(dims);
+  for (int i = 0; i < dims; ++i) cost.data()[i] = lane[i];
   const int compare_resolution = options_.prune_against_all_resolutions
                                      ? schedule_.MaxResolution()
                                      : resolution;
   const PruneOutcome outcome =
-      Prune(res_.For(q), cand_.For(q), bounds, resolution, compare_resolution,
-            schedule_, plan_id, node.cost, node.order, invocation_,
+      Prune(res, cand, bounds, resolution, compare_resolution, schedule_,
+            plan.id, cost, plan.order, invocation_,
             options_.park_next_level_only, &counters_);
   // Fragment publishing logs every multi-table result insertion in
   // chronological order — replaying the log reproduces the cell's index
@@ -221,6 +235,7 @@ void IncrementalOptimizer::PrunePlan(TableSet q, PlanId plan_id,
   // diverged from the publishable fixed-bounds sequence.
   if (outcome == PruneOutcome::kInsertedResult && !publish_log_.empty() &&
       publish_valid_ && q.Count() >= 2) {
+    const PlanNode node = arena_.at(plan.id);
     publish_log_[q.mask()].push_back({node.cost, node.output_cardinality,
                                       node.op, node.order,
                                       static_cast<uint8_t>(resolution)});
@@ -268,12 +283,10 @@ void IncrementalOptimizer::Optimize(const CostVector& bounds,
       batch.reserve(drained.size());
       for (const CellIndex::Entry& e : drained) {
         counters_.OnCandidateRetrieved(e.id);
-        batch.push_back({0.0, e.id});
+        batch.push_back({0.0, e.id, e.order});
       }
       if (options_.sorted_pruning) SortBatch(arena_, batch);
-      for (const BatchEntry& e : batch) {
-        PrunePlan(q, e.id, bounds, resolution);
-      }
+      PruneBatch(q, batch, bounds, resolution);
     }
   }
 
@@ -323,7 +336,7 @@ void IncrementalOptimizer::Phase2Serial(const CostVector& bounds,
                 const PlanId id = arena_.AddJoin(
                     q, a.id, b.id, op, oc.cost, oc.output_rows, oc.order);
                 ++counters_.plans_generated;
-                batch.push_back({0.0, id});
+                batch.push_back({0.0, id, oc.order});
               });
         };
 
@@ -342,9 +355,7 @@ void IncrementalOptimizer::Phase2Serial(const CostVector& bounds,
       // Prune this table set's freshly generated plans, cheapest first,
       // before any superset of q consumes them.
       if (options_.sorted_pruning) SortBatch(arena_, batch);
-      for (const BatchEntry& e : batch) {
-        PrunePlan(q, e.id, bounds, resolution);
-      }
+      PruneBatch(q, batch, bounds, resolution);
     }
   }
 }

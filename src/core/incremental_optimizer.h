@@ -144,9 +144,27 @@ class IncrementalOptimizer {
   void ReprobeFragments();
 
  private:
-  // Runs Prune for plan `plan_id` of table set q, with the cost and
-  // order stored in the arena.
-  void PrunePlan(TableSet q, PlanId plan_id, const CostVector& bounds,
+  // A plan awaiting pruning: its sort key, id and interesting-order tag
+  // (in what would be padding: 16 B). The cost stays in the arena.
+  struct BatchEntry {
+    double score = 0.0;
+    PlanId id = 0;
+    uint8_t order = 0;
+  };
+  static_assert(sizeof(BatchEntry) == 16, "order must sit in the padding");
+
+  // Orders a batch so that cheap plans are pruned first (see the
+  // definition).
+  static void SortBatch(const PlanArena& arena,
+                        std::vector<BatchEntry>& batch);
+
+  // Runs Prune on every plan of table set q's batch, in batch order.
+  void PruneBatch(TableSet q, const std::vector<BatchEntry>& batch,
+                  const CostVector& bounds, int resolution);
+  // Runs Prune for one plan of table set q against q's result and
+  // candidate sets, reading its cost from the arena in place.
+  void PrunePlan(TableSet q, CellIndex& res, CellIndex& cand,
+                 const BatchEntry& plan, const CostVector& bounds,
                  int resolution);
 
   // Seeds and seals every connected multi-table cell the fragment

@@ -13,10 +13,11 @@ ResolutionSchedule::ResolutionSchedule(int num_levels, double alpha_target,
   MOQO_CHECK(num_levels >= 1 && num_levels <= 256);
   MOQO_CHECK(alpha_target > 1.0);
   MOQO_CHECK(alpha_step >= 0.0);
+  alphas_.reserve(static_cast<size_t>(num_levels));
+  for (int r = 0; r < num_levels; ++r) alphas_.push_back(ComputeAlpha(r));
 }
 
-double ResolutionSchedule::Alpha(int r) const {
-  MOQO_CHECK(r >= 0 && r <= MaxResolution());
+double ResolutionSchedule::ComputeAlpha(int r) const {
   const int rm = MaxResolution();
   if (rm == 0 || alpha_step_ == 0.0) return alpha_target_;
   switch (kind_) {

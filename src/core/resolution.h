@@ -14,6 +14,8 @@
 #ifndef MOQO_CORE_RESOLUTION_H_
 #define MOQO_CORE_RESOLUTION_H_
 
+#include <vector>
+
 #include "util/common.h"
 
 namespace moqo {
@@ -53,14 +55,22 @@ class ResolutionSchedule {
   Kind kind() const { return kind_; }
 
   // α_r for resolution level r in [0, rM]. Strictly decreasing in r,
-  // with α_0 = α_T + α_S and α_rM = α_T.
-  double Alpha(int r) const;
+  // with α_0 = α_T + α_S and α_rM = α_T. A table lookup: Prune asks for
+  // α several times per plan, so the constructor evaluates the formula
+  // (ComputeAlpha) once per level.
+  double Alpha(int r) const {
+    MOQO_CHECK(r >= 0 && r < num_levels_);
+    return alphas_[static_cast<size_t>(r)];
+  }
 
  private:
+  double ComputeAlpha(int r) const;
+
   int num_levels_;
   double alpha_target_;
   double alpha_step_;
   Kind kind_;
+  std::vector<double> alphas_;  // alphas_[r] = α_r.
 };
 
 }  // namespace moqo

@@ -1,6 +1,7 @@
 #include "index/cell_index.h"
 
 #include <algorithm>
+#include <cstring>
 
 namespace moqo {
 namespace {
@@ -17,9 +18,26 @@ CellIndex::CellIndex(int dims, double gamma, BankArena* arena)
   MOQO_CHECK(dims >= 1 && dims <= kMaxMetrics);
   MOQO_CHECK(gamma > 1.0);
   inv_log_gamma_ = 1.0 / std::log(gamma);
+  exponent_buckets_ = gamma == 2.0;
 }
 
 int CellIndex::Bucket(double value) const {
+  if (exponent_buckets_) {
+    // value = 2^e · (1 + f). The formula below computes e + log2(1 + f)
+    // with an absolute error under 2^-40, so its floor is e whenever f
+    // lies at least 2^-22 from 0 and from 1: the top 22 mantissa bits are
+    // neither all zeros nor all ones. Zero, subnormals, negatives, ∞ and
+    // NaN (biased exponent 0, sign bit set, or 0x7FF) also take the
+    // formula.
+    uint64_t bits;
+    std::memcpy(&bits, &value, sizeof(bits));
+    const uint64_t biased = bits >> 52;
+    const uint64_t top = (bits >> 30) & 0x3FFFFFu;
+    if (biased - 1 < 0x7FEu && top - 1 < 0x3FFFFEu) {
+      return std::clamp(static_cast<int>(biased) - 1023, kMinBucket + 1,
+                        kMaxBucket - 1);
+    }
+  }
   if (value <= 0.0) return kMinBucket;
   if (std::isinf(value)) return kMaxBucket;
   const double b = std::floor(std::log(value) * inv_log_gamma_);

@@ -10,6 +10,14 @@
 // the query box via integer comparisons on the packed cell key, takes cells
 // strictly inside wholesale, and filters entries only in boundary cells.
 //
+// Bucket computation. Every insert and every range query computes one
+// log bucket per metric. At γ = 2 the bucket of a normal double is its
+// binary exponent, read from the bits; only values within 2^-22 of a
+// power of two (and zero, subnormals and ∞) go through the libm formula
+// ⌊log c · (1/log γ)⌋, whose rounding there could fall on either side.
+// Other γ always use the formula. Either way every key is exactly the
+// formula's (tests/cell_index_test.cc checks it).
+//
 // Data-oriented layout (docs/KERNEL.md). Cells are stored in a flat
 // vector in creation order; a small open-addressing hash maps the packed
 // 64-bit cell key to its slot — no per-node allocation, no pointer-chasing
@@ -154,6 +162,15 @@ class CellIndex {
   size_t NumCells() const;
   void Clear();
 
+  // The per-metric cell coordinate of a cost value: ⌊log_γ value⌋,
+  // clamped to [-127, 126], with -128 for value <= 0 and 127 for +∞.
+  // With γ = 2 (every optimizer's default) it reads the exponent bits
+  // and falls back to the libm formula only within 2^-22 of a power of
+  // two, where the formula's rounding could land on either side; the
+  // result is identical to the formula for every double. Public so the
+  // exactness tests can compare the two.
+  int Bucket(double value) const;
+
  private:
   // Packed cell key: byte 7 = resolution, byte 6 = interesting-order tag,
   // bytes 0..5 = biased per-dimension log buckets. Comparisons are
@@ -206,7 +223,6 @@ class CellIndex {
     size_t mask_ = 0;  // capacity - 1; 0 when empty.
   };
 
-  int Bucket(double value) const;
   Key MakeKey(const CostVector& cost, int resolution, int order) const;
   Key BoundKey(const CostVector& bounds, int max_res) const;
   // Classifies a cell against the query box described by `bound_key` and
@@ -219,6 +235,7 @@ class CellIndex {
 
   int dims_;
   double inv_log_gamma_;
+  bool exponent_buckets_;  // γ == 2: Bucket reads the exponent bits.
   size_t size_ = 0;
   BankArena* arena_ = nullptr;
   // Creation-order cell store. A fully drained cell stays as an empty

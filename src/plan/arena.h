@@ -50,7 +50,10 @@ class PlanArena {
                      double output_cardinality, uint8_t order = 0);
 
   // The plan as a value. It is assembled from the stored record and cost,
-  // so it stays valid while the arena grows.
+  // so it stays valid while the arena grows. Not for per-plan hot loops:
+  // Prune reads cost_data() and takes the order tag from its batch, and
+  // calls at() only for the rare result insertion it logs for fragment
+  // publishing. Phase 2 calls it for both plans of each fresh pair.
   PlanNode at(PlanId id) const {
     MOQO_CHECK(id < size_);
     const Record& r = record(id);

@@ -138,35 +138,38 @@ OpCost CostModel::JoinCost(const PlanNode& left, const PlanNode& right,
 
   const MetricSchema& schema = schema_;
   const int dims = schema.dims();
+  MOQO_CHECK(left.cost.dims() == dims && right.cost.dims() == dims);
   CostVector cost(dims);
+  const double* lcost = left.cost.data();
+  const double* rcost = right.cost.data();
+  double* out = cost.data();
   for (int i = 0; i < dims; ++i) {
-    const double lc = left.cost[i];
-    const double rc = right.cost[i];
+    const double lc = lcost[i];
+    const double rc = rcost[i];
     switch (schema.metric(i)) {
       case MetricId::kTime:
         // Sequential execution: sum of sub-plan times plus own time.
-        cost[i] = lc + rc + work_ms / w + (w - 1.0) * p.parallel_startup_ms;
+        out[i] = lc + rc + work_ms / w + (w - 1.0) * p.parallel_startup_ms;
         break;
       case MetricId::kCores:
-        cost[i] = std::max({lc, rc, w});
+        out[i] = std::max({lc, rc, w});
         break;
       case MetricId::kPrecisionError:
-        cost[i] =
-            std::min(1.0, p.join_error_inflation * std::max(lc, rc));
+        out[i] = std::min(1.0, p.join_error_inflation * std::max(lc, rc));
         break;
       case MetricId::kFees:
-        cost[i] = lc + rc +
-                  work_ms * p.fee_per_core_ms *
-                      (1.0 + p.fee_parallel_premium * (w - 1.0));
+        out[i] = lc + rc +
+                 work_ms * p.fee_per_core_ms *
+                     (1.0 + p.fee_parallel_premium * (w - 1.0));
         break;
       case MetricId::kEnergy:
-        cost[i] = lc + rc +
-                  work_ms * p.energy_per_ms *
-                      (1.0 + p.energy_parallel_overhead * (w - 1.0));
+        out[i] = lc + rc +
+                 work_ms * p.energy_per_ms *
+                     (1.0 + p.energy_parallel_overhead * (w - 1.0));
         break;
       case MetricId::kIo:
         // Joins run in memory in this model; IO comes from the scans.
-        cost[i] = lc + rc;
+        out[i] = lc + rc;
         break;
     }
   }

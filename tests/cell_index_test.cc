@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <set>
 #include <vector>
@@ -143,6 +144,89 @@ TEST(CellIndexTest, ClearEmptiesIndex) {
   EXPECT_EQ(index.size(), 0u);
   EXPECT_FALSE(index.AnyInRange(CostVector::Infinite(2), 255));
 }
+
+// --- Bucket exactness: the exponent-bit path equals the libm formula. ---
+
+// The cell coordinate as the log formula defines it: ⌊log v · (1/log γ)⌋
+// clamped to [-127, 126], -128 for v <= 0 and 127 for +∞.
+int ReferenceBucket(double value, double gamma) {
+  if (value <= 0.0) return -128;
+  if (std::isinf(value)) return 127;
+  const double b = std::floor(std::log(value) * (1.0 / std::log(gamma)));
+  if (b <= -127) return -127;
+  if (b >= 126) return 126;
+  return static_cast<int>(b);
+}
+
+// Checks `value` and the 4 doubles on either side of it.
+void ExpectBucketsExactAround(const CellIndex& index, double gamma,
+                              double value) {
+  double below = value;
+  double above = value;
+  for (int step = 0; step <= 4; ++step) {
+    ASSERT_EQ(index.Bucket(below), ReferenceBucket(below, gamma))
+        << "gamma " << gamma << " value " << below;
+    ASSERT_EQ(index.Bucket(above), ReferenceBucket(above, gamma))
+        << "gamma " << gamma << " value " << above;
+    below = std::nextafter(below, 0.0);
+    above = std::nextafter(above, std::numeric_limits<double>::infinity());
+  }
+}
+
+class CellBucketExactness : public ::testing::TestWithParam<double> {};
+
+TEST_P(CellBucketExactness, RandomDoublesOverTheFullRange) {
+  const double gamma = GetParam();
+  const CellIndex index(1, gamma);
+  Rng rng(2024);
+  int checked = 0;
+  while (checked < 1000000) {
+    // A uniformly random bit pattern with the sign cleared: every
+    // exponent, subnormals included, is equally likely.
+    const uint64_t bits = rng.Next() & 0x7FFFFFFFFFFFFFFFull;
+    if ((bits >> 52) == 0x7FF) continue;  // ∞ and NaN are not costs.
+    double value;
+    std::memcpy(&value, &bits, sizeof(value));
+    ASSERT_EQ(index.Bucket(value), ReferenceBucket(value, gamma))
+        << "gamma " << gamma << " value " << value;
+    ++checked;
+  }
+}
+
+TEST_P(CellBucketExactness, PowersOfTwoAndTheirNeighbours) {
+  const double gamma = GetParam();
+  const CellIndex index(1, gamma);
+  // Every power of two, subnormal ones included: the exponent-bit path
+  // hands these to the formula.
+  for (int e = -1074; e <= 1023; ++e) {
+    ExpectBucketsExactAround(index, gamma, std::ldexp(1.0, e));
+  }
+}
+
+TEST_P(CellBucketExactness, SpecialValuesAndClampEdges) {
+  const double gamma = GetParam();
+  const CellIndex index(1, gamma);
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(index.Bucket(0.0), -128);
+  EXPECT_EQ(index.Bucket(-0.0), -128);
+  EXPECT_EQ(index.Bucket(inf), 127);
+  EXPECT_EQ(index.Bucket(std::numeric_limits<double>::max()), 126);
+  EXPECT_EQ(index.Bucket(std::numeric_limits<double>::denorm_min()), -127);
+  Rng rng(7);
+  for (int i = 0; i < 10000; ++i) {
+    const uint64_t bits = rng.Next() & 0x000FFFFFFFFFFFFFull;  // Subnormal.
+    double value;
+    std::memcpy(&value, &bits, sizeof(value));
+    ASSERT_EQ(index.Bucket(value), ReferenceBucket(value, gamma)) << value;
+  }
+  // Either side of the clamps at ⌊log_γ v⌋ = -127 and 126.
+  for (int k : {-129, -128, -127, -126, 125, 126, 127, 128}) {
+    ExpectBucketsExactAround(index, gamma, std::pow(gamma, k));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Gammas, CellBucketExactness,
+                         ::testing::Values(2.0, 1.5));
 
 // --- Property test: range queries agree with a linear scan. ---
 

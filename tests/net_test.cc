@@ -329,11 +329,19 @@ TEST(WireCodecTest, HostileFieldValuesRejected) {
 
 // --- Server integration. ---
 
+// The server tests' default service: two shards, so a run on one shard
+// and a request on the other proceed side by side. A test that passes its
+// own options gets exactly the shard count it set.
+ServiceOptions TwoShardOptions() {
+  ServiceOptions options;
+  options.num_shards = 2;
+  return options;
+}
+
 struct TestServer {
-  explicit TestServer(ServiceOptions service_options = {},
+  explicit TestServer(ServiceOptions service_options = TwoShardOptions(),
                       ServerOptions server_options = {}) {
     catalog = MakeTpchCatalog();
-    if (service_options.num_shards == 1) service_options.num_shards = 2;
     service =
         std::make_unique<OptimizerService>(catalog, service_options);
     server = std::make_unique<OptimizerServer>(service.get(),
@@ -394,7 +402,7 @@ TEST(NetServerTest, RemoteResultsBitIdenticalToInProcess) {
 // hits: a cold tenant reads 0, and once one of its runs has re-derived
 // cells from the fragment store, later admissions report the credit.
 TEST(NetServerTest, FragmentWarmHitsReportedOverWire) {
-  ServiceOptions service_options;
+  ServiceOptions service_options = TwoShardOptions();
   // Isolate the fragment path: no whole-query cache, so every repeat
   // submission actually runs (and seeds). Each submission waits for the
   // previous one, so none coalesces.
@@ -592,7 +600,7 @@ TEST(NetServerTest, IterationLimitRejectsOverTheWire) {
   // Shedding bounds how many runs exist; max_iterations_limit bounds
   // how long each occupies its slot. Without it a hostile client could
   // park a near-infinite run in an in-flight slot and starve admission.
-  ServiceOptions service_options;
+  ServiceOptions service_options = TwoShardOptions();
   service_options.max_iterations_limit = 50;
   TestServer remote(service_options);
   OptimizerClient client;

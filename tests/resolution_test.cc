@@ -1,3 +1,5 @@
+#include <cmath>
+
 #include <gtest/gtest.h>
 
 #include "core/resolution.h"
@@ -61,6 +63,34 @@ TEST(ResolutionScheduleTest, NamedConfigurationsMatchPaper) {
   const ResolutionSchedule fine = ResolutionSchedule::Fine(20);
   EXPECT_DOUBLE_EQ(fine.alpha_target(), 1.005);
   EXPECT_DOUBLE_EQ(fine.alpha_step(), 0.5);
+}
+
+// Alpha reads a table filled at construction; every entry must be the
+// closed form bit for bit, since Prune compares plans against it.
+TEST(ResolutionScheduleTest, AlphaTableEqualsClosedFormExactly) {
+  const double target = 1.005;
+  const double step = 0.5;
+  for (int levels : {1, 5, 20, 256}) {
+    const ResolutionSchedule lin(levels, target, step);
+    const ResolutionSchedule geo =
+        ResolutionSchedule::Geometric(levels, target, step);
+    const int rm = levels - 1;
+    for (int r = 0; r <= rm; ++r) {
+      double linear = target;
+      double geometric = target;
+      if (rm > 0) {
+        linear = target + step * static_cast<double>(rm - r) /
+                              static_cast<double>(rm);
+        const double hi = target + step - 1.0;
+        const double lo = target - 1.0;
+        geometric =
+            1.0 + hi * std::pow(lo / hi, static_cast<double>(r) /
+                                             static_cast<double>(rm));
+      }
+      EXPECT_EQ(lin.Alpha(r), linear) << levels << " levels, r = " << r;
+      EXPECT_EQ(geo.Alpha(r), geometric) << levels << " levels, r = " << r;
+    }
+  }
 }
 
 }  // namespace
