@@ -14,7 +14,7 @@
 //
 //   --port P           TCP port; 0 (default) picks an ephemeral port
 //   --host H           bind address (default 127.0.0.1)
-//   --shards N         scheduler shards, one thread each (default 4)
+//   --shards N         scheduler threads sharing one run queue (default 4)
 //   --max-inflight N   run-count bound; beyond it submits are load-shed
 //                      with kShedding + retry-after (default 64; 0 = off)
 //   --max-iterations N per-submission step ceiling; larger requests are

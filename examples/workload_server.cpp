@@ -1,14 +1,13 @@
 // workload_server — replays a mixed multi-query stream through the
 // OptimizerService: every TPC-H join block plus a batch of random-topology
-// queries, all optimized concurrently across the scheduler shards.
+// queries, all optimized concurrently by the scheduler threads.
 //
 // Usage:
 //   ./build/workload_server [--shards N] [--random N] [--repeat N]
 //                           [--deadline-ms D] [--fragment-cache-mb M]
 //                           [--refresh-drift F] [--store-path FILE]
 //
-//   --shards N       scheduler shards, each one thread with its own run
-//                    queue (default 4)
+//   --shards N       scheduler threads sharing one run queue (default 4)
 //   --random N       number of random-topology queries mixed in (default 8)
 //   --repeat N       how many times the stream is replayed (default 2);
 //                    duplicates still in flight coalesce onto the running
@@ -190,7 +189,7 @@ int main(int argc, char** argv) {
   submit.iama.schedule = ResolutionSchedule::Moderate(5);
   submit.deadline_ms = deadline_ms;
 
-  std::printf("workload_server: %zu queries x %d replays, %d shards, "
+  std::printf("workload_server: %zu queries x %d replays, %d threads, "
               "deadline %s\n\n",
               stream.size(), repeat, shards,
               deadline_ms > 0.0
@@ -282,13 +281,12 @@ int main(int argc, char** argv) {
               ttffs.size(), Percentile(ttffs, 0.50),
               Percentile(ttffs, 0.99));
   std::printf("steps %llu, completed %llu, expired %llu, cache hits %llu, "
-              "coalesced %llu, work steals %llu, catalog refreshes %llu\n",
+              "coalesced %llu, catalog refreshes %llu\n",
               static_cast<unsigned long long>(stats.steps_executed),
               static_cast<unsigned long long>(stats.completed),
               static_cast<unsigned long long>(stats.expired),
               static_cast<unsigned long long>(stats.cache_hits),
               static_cast<unsigned long long>(stats.coalesced),
-              static_cast<unsigned long long>(stats.work_steals),
               static_cast<unsigned long long>(stats.catalog_refreshes));
   const uint64_t fragment_lookups =
       stats.fragment_hits + stats.fragment_misses;

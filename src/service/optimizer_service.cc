@@ -89,8 +89,7 @@ std::string CanonicalQueryKeySuffix(const Query& query,
 // Joins a version prefix to a precomputed suffix. The catalog version
 // leads the key: frontiers depend on the base statistics, so
 // submissions from different catalog generations must never share a
-// cache line, a shard-placement bucket, or an in-flight leader
-// (ROADMAP's missing-epoch gap).
+// cache line or an in-flight leader.
 std::string VersionedKey(uint64_t catalog_version,
                          const std::string& suffix) {
   std::string key = "v2;c=";
@@ -115,8 +114,8 @@ struct OptimizerService::QueryEntry {
   QueryId id = kInvalidQueryId;
   SnapshotObserver observer;
   // Pull-based stream handed to the submitter (null unless requested).
-  // The shard pushes into it per step; finalization pushes the terminal
-  // event. Its own mutex is a leaf below mu_.
+  // The stepping thread pushes into it per step; finalization pushes
+  // the terminal event. Its own mutex is a leaf below mu_.
   std::shared_ptr<SnapshotSubscription> subscription;
   // Admission-control identity; "" = default tenant. Finalization
   // releases the tenant's in-flight slot.
@@ -138,16 +137,15 @@ struct OptimizerService::QueryEntry {
 // One physical optimization: the session plus the queries riding on it.
 // Queue membership, leadership, followers, pending bounds, and the
 // published snapshot are guarded by mu_; factory/session/steps_done/
-// last_snapshot belong to the shard thread whose turn it is (a run is
-// never in a queue while being stepped, and turn boundaries acquire mu_,
-// ordering successive turns even across different shard threads).
+// last_snapshot belong to the scheduler thread whose turn it is (a run
+// is never in the queue while being stepped, and turn boundaries acquire
+// mu_, ordering successive turns even across different threads).
 struct OptimizerService::RunState {
   uint64_t run_id = 0;
   std::string key;
   Query query;
   IamaOptions iama;  // From the founding submission (key-equal for all).
   int max_iterations = 0;
-  size_t home_shard = 0;
   // The catalog snapshot pinned at admission: the run optimizes on it
   // for its whole lifetime, immune to live catalog mutation. Immutable,
   // so reading it needs no lock once set.
@@ -217,10 +215,9 @@ OptimizerService::OptimizerService(const Catalog& catalog,
     fragment_store_ = std::make_unique<FragmentStore>(store_options);
     fragment_store_->SetCatalogVersion(catalog_snapshot_->version());
   }
-  shard_queues_.resize(static_cast<size_t>(options_.num_shards));
   schedulers_.reserve(static_cast<size_t>(options_.num_shards));
-  for (size_t i = 0; i < static_cast<size_t>(options_.num_shards); ++i) {
-    schedulers_.emplace_back([this, i] { SchedulerLoop(i); });
+  for (int i = 0; i < options_.num_shards; ++i) {
+    schedulers_.emplace_back([this] { SchedulerLoop(); });
   }
 }
 
@@ -232,8 +229,8 @@ OptimizerService::~OptimizerService() {
   work_cv_.notify_all();
   for (std::thread& t : schedulers_) t.join();
   std::unique_lock<std::mutex> lock(mu_);
-  for (std::deque<uint64_t>& q : shard_queues_) q.clear();
-  // Unblock any Wait() on queries the shards never finished.
+  queue_.clear();
+  // Unblock any Wait() on queries the scheduler never finished.
   while (!entries_.empty()) {
     QueryEntry* entry = entries_.begin()->second.get();
     const RunState* run = entry->run;
@@ -302,8 +299,8 @@ StatusOr<SubmitResponse> OptimizerService::Submit(SubmitRequest request) {
   // Validation and the O(query) canonical-key construction stay outside
   // the admission lock (they are the expensive part of Submit); only
   // the catalog-version prefix depends on state mu_ guards. The
-  // canonical key drives shard placement, the completed-run cache, and
-  // in-flight coalescing, so it is always computed. It embeds the
+  // canonical key drives the completed-run cache and in-flight
+  // coalescing, so it is always computed. It embeds the
   // admission snapshot's version: keys from different catalog
   // generations never collide.
   std::shared_ptr<const CatalogSnapshot> snapshot;
@@ -393,11 +390,7 @@ StatusOr<SubmitResponse> OptimizerService::Submit(SubmitRequest request) {
         // bound. The retry-after hint scales with the queued backlog —
         // a crude drain-time estimate, monotone in load.
         ++stats_.shed;
-        size_t queued = 0;
-        for (const std::deque<uint64_t>& q : shard_queues_) {
-          queued += q.size();
-        }
-        if (queued < 1) queued = 1;
+        const size_t queued = std::max<size_t>(queue_.size(), 1);
         const uint64_t hint = static_cast<uint64_t>(
             options_.shed_retry_hint_ms * static_cast<double>(queued) + 0.5);
         return Status::Shedding(
@@ -451,8 +444,6 @@ StatusOr<SubmitResponse> OptimizerService::Submit(SubmitRequest request) {
         run->fragment_epoch =
             fragment_store_ != nullptr ? fragment_store_->epoch() : 0;
         run->tenant = request.tenant;
-        run->home_shard = static_cast<size_t>(
-            Fnv1a64(key) % static_cast<uint64_t>(options_.num_shards));
         run->leader = id;
         entry->run = run.get();
         inflight_[key] = run->run_id;
@@ -462,11 +453,11 @@ StatusOr<SubmitResponse> OptimizerService::Submit(SubmitRequest request) {
           // paired with the first-turn re-probe in SchedulerLoop, this
           // brackets the window in which concurrent overlapping runs
           // publish — instead of racing them with a single mid-window
-          // lookup. Until the run is enqueued below no shard can pop
-          // it, so the build needs no lock.
+          // lookup. Until the run is enqueued below no scheduler thread
+          // can pop it, so the build needs no lock.
           build_at_admission = run.get();
         } else {
-          shard_queues_[run->home_shard].push_back(run->run_id);
+          queue_.push_back(run->run_id);
           notify = true;
         }
         runs_.emplace(run->run_id, std::move(run));
@@ -491,8 +482,7 @@ StatusOr<SubmitResponse> OptimizerService::Submit(SubmitRequest request) {
     BuildRun(build_at_admission);
     {
       std::lock_guard<std::mutex> lock(mu_);
-      shard_queues_[build_at_admission->home_shard].push_back(
-          build_at_admission->run_id);
+      queue_.push_back(build_at_admission->run_id);
     }
     work_cv_.notify_one();
   }
@@ -515,7 +505,7 @@ bool OptimizerService::Cancel(QueryId id) {
                         run->steps_published, run->plans_published,
                         run->pairs_published);
   }
-  // Leaders are finalized by the shard thread at the next step boundary
+  // Leaders are finalized by the stepping thread at the next step boundary
   // (possibly handing leadership to the oldest follower).
   return true;
 }
@@ -531,7 +521,7 @@ Status OptimizerService::ApplyBounds(QueryId id, const CostVector& bounds) {
         "bounds dimension does not match the service metric schema");
   }
   RunState* run = it->second->run;
-  // Applied by the stepping shard at the next turn boundary; several
+  // Applied by the stepping thread at the next turn boundary; several
   // ApplyBounds before that boundary collapse to the latest one.
   run->pending_bounds = bounds;
   if (!run->diverged) {
@@ -669,38 +659,6 @@ void OptimizerService::WaitIdle() {
   // terminating drain barrier; without it, it is simply "idle right
   // now".
   done_cv_.wait(lock, [&] { return entries_.empty(); });
-}
-
-bool OptimizerService::AnyQueuedLocked() const {
-  for (const std::deque<uint64_t>& q : shard_queues_) {
-    if (!q.empty()) return true;
-  }
-  return false;
-}
-
-uint64_t OptimizerService::PopRunLocked(size_t shard) {
-  std::deque<uint64_t>& own = shard_queues_[shard];
-  if (!own.empty()) {
-    const uint64_t id = own.front();
-    own.pop_front();
-    return id;
-  }
-  // Steal from the back of the largest other queue: the back is the run
-  // farthest from its home shard's attention, so stealing it interferes
-  // least with the victim's round-robin order.
-  size_t victim = shard;
-  size_t victim_size = 0;
-  for (size_t j = 0; j < shard_queues_.size(); ++j) {
-    if (j != shard && shard_queues_[j].size() > victim_size) {
-      victim = j;
-      victim_size = shard_queues_[j].size();
-    }
-  }
-  MOQO_CHECK(victim != shard);  // Caller guarantees AnyQueuedLocked().
-  const uint64_t id = shard_queues_[victim].back();
-  shard_queues_[victim].pop_back();
-  ++stats_.work_steals;
-  return id;
 }
 
 void OptimizerService::BuildRun(RunState* run) {
@@ -881,17 +839,14 @@ void OptimizerService::DestroyRunLocked(RunState* run) {
   runs_.erase(run->run_id);  // Frees the arena and plan indexes.
 }
 
-void OptimizerService::SchedulerLoop(size_t shard) {
+void OptimizerService::SchedulerLoop() {
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    work_cv_.wait(lock, [&] { return stop_ || AnyQueuedLocked(); });
+    work_cv_.wait(lock, [&] { return stop_ || !queue_.empty(); });
     if (stop_) return;
-    const uint64_t rid = PopRunLocked(shard);
+    const uint64_t rid = queue_.front();
+    queue_.pop_front();
     RunState* run = runs_.at(rid).get();
-    // Adopt the run: it re-enqueues on this shard from now on, so a
-    // steal moves a run once instead of being re-counted (and re-paid)
-    // at every subsequent turn while the victim's queue sits empty.
-    run->home_shard = shard;
     const Clock::time_point now = Clock::now();
     SweepExpiredFollowersLocked(run, now);
     // Pre-step gate: a cancelled or expired leader is finalized before
@@ -918,7 +873,7 @@ void OptimizerService::SchedulerLoop(size_t shard) {
     if (run_destroyed) continue;
 
     // Copy the turn's inputs while mu_ is held: the leader entry cannot
-    // be erased during the turn (only the stepping shard finalizes
+    // be erased during the turn (only the stepping thread finalizes
     // leaders), so its deadline copy and atomic cancel flag are safe to
     // read unlocked; follower observers are copied by value because a
     // follower may Cancel (and its entry be freed) mid-turn.
@@ -945,8 +900,8 @@ void OptimizerService::SchedulerLoop(size_t shard) {
     run->pending_bounds.reset();
     lock.unlock();
 
-    // Stepping happens outside the lock: this shard owns the run
-    // exclusively (it is in no queue right now), so Submit/Cancel/Wait/
+    // Stepping happens outside the lock: this thread owns the run
+    // exclusively (it is not in the queue right now), so Submit/Cancel/Wait/
     // ApplyBounds stay responsive during long invocations.
     if (run->session == nullptr) {
       BuildRun(run);
@@ -981,7 +936,7 @@ void OptimizerService::SchedulerLoop(size_t shard) {
       if (!subs.empty()) {
         // One publication copy per step, shared by every subscriber; each
         // Push is an O(1) bounded enqueue — a stalled subscriber costs
-        // this shard nothing beyond it (the backpressure guarantee).
+        // this thread nothing beyond it (the backpressure guarantee).
         auto shared =
             std::make_shared<const FrontierSnapshot>(run->last_snapshot);
         for (const auto& sub : subs) sub->Push(shared, /*is_final=*/false);
@@ -996,7 +951,7 @@ void OptimizerService::SchedulerLoop(size_t shard) {
     }
 
     // The publication copy (an O(|plans|) deep copy) happens while this
-    // shard still owns last_snapshot exclusively — never under mu_.
+    // thread still owns last_snapshot exclusively — never under mu_.
     std::shared_ptr<const FrontierSnapshot> published;
     if (steps_this_turn > 0) {
       published = std::make_shared<const FrontierSnapshot>(run->last_snapshot);
@@ -1016,7 +971,7 @@ void OptimizerService::SchedulerLoop(size_t shard) {
       run->steps_published = run->steps_done;
       run->last_published = std::move(published);
       // Mirror the optimizer's work counters for QueryResult: this
-      // shard owns the session, and the mirror is read only under mu_.
+      // thread owns the session, and the mirror is read only under mu_.
       const Counters& counters = run->session->optimizer().counters();
       run->plans_published = counters.plans_generated;
       run->pairs_published = counters.pairs_generated;
@@ -1047,7 +1002,7 @@ void OptimizerService::SchedulerLoop(size_t shard) {
     // mu_ while the entry is still live, so re-checking here guarantees
     // that a true-returning Cancel is observed as kCancelled even when
     // the last step finished concurrently. (Leadership cannot have
-    // changed mid-turn: only the stepping shard reassigns it.)
+    // changed mid-turn: only the stepping thread reassigns it.)
     if (leader->cancel_requested.load(std::memory_order_relaxed)) {
       finished = true;
       end_state = QueryState::kCancelled;
@@ -1062,11 +1017,11 @@ void OptimizerService::SchedulerLoop(size_t shard) {
       finished = false;
     }
     if (!finished) {
-      shard_queues_[run->home_shard].push_back(rid);  // Back of the line.
-      // Wake a stealer only when there is work beyond this run: with a
-      // lone run, this shard re-pops it itself before releasing mu_,
-      // so a notified idle shard would always find the queues empty.
-      if (shard_queues_[run->home_shard].size() > 1) work_cv_.notify_one();
+      queue_.push_back(rid);  // Back of the line.
+      // Wake another thread only when there is work beyond this run:
+      // with a lone run, this thread re-pops it itself before releasing
+      // mu_, so a woken thread would always find the queue empty.
+      if (queue_.size() > 1) work_cv_.notify_one();
       continue;
     }
     // Predict whether this turn completes the run in state kDone: either
@@ -1074,7 +1029,7 @@ void OptimizerService::SchedulerLoop(size_t shard) {
     // run that already ran all its steps (the inner CompleteRunLocked
     // branch below). Exactly then the run's per-cell frontier logs are
     // exported for the cross-query fragment store — now, while the
-    // stepping shard still owns the session (CompleteRunLocked destroys
+    // stepping thread still owns the session (CompleteRunLocked destroys
     // the run). The provider is moved out with the logs; the actual
     // store insertion (key building, order canonicalization) happens
     // outside mu_ below. Diverged runs never publish.
@@ -1105,8 +1060,8 @@ void OptimizerService::SchedulerLoop(size_t shard) {
         // pending, which earns the run one more turn — see above).
         CompleteRunLocked(run, &deliveries);
       } else {
-        shard_queues_[run->home_shard].push_back(rid);
-        if (shard_queues_[run->home_shard].size() > 1) work_cv_.notify_one();
+        queue_.push_back(rid);
+        if (queue_.size() > 1) work_cv_.notify_one();
       }
     }
     if (!deliveries.empty() || publish_provider != nullptr) {

@@ -1,31 +1,29 @@
 /// \file
-/// OptimizerService: sharded concurrent multi-query anytime optimization.
+/// OptimizerService: concurrent multi-query anytime optimization.
 ///
 /// The paper's anytime property makes IAMA a natural fit for a serving
 /// layer: every Optimize invocation is cheap and interruptible, so many
 /// queries can share one machine and each still converges to an
 /// α-approximate Pareto frontier. The service admits queries (Submit),
-/// schedules them across N scheduler shards that interleave single
+/// schedules them onto N scheduler threads that interleave single
 /// IamaSession steps, and streams every FrontierSnapshot to a per-query
 /// observer — each query's frontier improves incrementally while total
 /// worker usage stays bounded.
 ///
 /// **Concurrency model.** `ServiceOptions::num_shards` scheduler threads
-/// each own a weighted round-robin run queue and step their sessions on
-/// that one thread; the shard count is the service's only thread knob.
-/// A run is placed on a shard by hashing its canonical query key; an
-/// idle shard steals queued runs from the busiest other shard and adopts
-/// them (a stolen run re-enqueues on its new shard until stolen again),
-/// so one shard's long-running sessions cannot head-of-line-block small
-/// queries admitted elsewhere. Exactly one shard thread steps a given
-/// run at a time (a run is never in two queues, and a stepping shard
-/// holds the run outside every queue). Because each session's sequence
-/// of Step() calls is independent of how runs are interleaved, placed,
-/// or stolen, service results are bit-identical to running every query
-/// alone for every shard count (service_test asserts this for shards
-/// {1, 2, 4}, including under TSan).
+/// share one FIFO run queue; that count is the service's only thread
+/// knob. A thread pops the run at the front, steps it for one turn
+/// outside the lock, and puts an unfinished run at the back, so a free
+/// thread always takes the oldest waiting run and no run waits behind
+/// one busy thread. Exactly one thread steps a given run at a time (a
+/// stepping thread holds the run outside the queue). Because each
+/// session's sequence of Step() calls is independent of how runs are
+/// interleaved and which thread steps them, service results are
+/// bit-identical to running every query alone for every thread count
+/// (service_test asserts this for {1, 2, 4} threads, including under
+/// TSan).
 ///
-/// **Scheduling.** Weighted round-robin per shard; a run's `priority`
+/// **Scheduling.** Weighted round-robin over the queue; a run's `priority`
 /// (the maximum across the queries attached to it) is the number of
 /// consecutive steps it gets per turn, and an optional per-query
 /// deadline (wall clock from
@@ -92,8 +90,8 @@
 /// queueing, and a graceful-drain mode (BeginDrain) for rolling
 /// restarts; every rejection returns a distinct Status code. Snapshot
 /// streaming is pull-based and backpressure-safe: a subscriber owns a
-/// bounded drop-oldest queue (SnapshotSubscription) the shard pushes
-/// into in O(1), so a stalled consumer can never hold a shard's turn —
+/// bounded drop-oldest queue (SnapshotSubscription) the stepping thread
+/// pushes into in O(1), so a stalled consumer can never hold a turn —
 /// the legacy synchronous observer remains for in-process tooling that
 /// guarantees not to block.
 #ifndef MOQO_SERVICE_OPTIMIZER_SERVICE_H_
@@ -127,11 +125,10 @@ namespace moqo {
 /// Service-wide configuration, fixed at construction.
 struct ServiceOptions {
   /// Ignored; kept only so existing callers that still assign it keep
-  /// compiling. Each shard steps its sessions on its own thread, so
-  /// num_shards alone sets the service's thread count.
+  /// compiling. num_shards alone sets the service's thread count.
   int num_threads = 1;
-  /// Number of scheduler shards, each one thread stepping sessions.
-  /// Must be >= 1. More shards let more sessions step concurrently.
+  /// Number of scheduler threads sharing one run queue. Must be >= 1.
+  /// More threads let more sessions step concurrently.
   int num_shards = 1;
   /// Capacity (entries) of the LRU frontier cache; 0 disables caching.
   size_t frontier_cache_capacity = 64;
@@ -145,7 +142,7 @@ struct ServiceOptions {
   /// (docs/FRAGMENT_SHARING.md): completed runs publish their per-sub-
   /// join-graph Pareto frontiers, and later runs whose queries overlap
   /// seed the shared cells instead of enumerating them. One store is
-  /// shared by all scheduler shards. 0 disables fragment sharing.
+  /// shared by all scheduler threads. 0 disables fragment sharing.
   size_t fragment_cache_bytes = 0;
   /// Path of the fragment store's persistent cold tier (an append-only
   /// log of serialized fragments, docs/FRAGMENT_PERSISTENCE.md). Empty
@@ -173,7 +170,7 @@ struct ServiceOptions {
   /// create no run). 0 = unlimited (in-process/test use).
   size_t max_inflight_runs = 0;
   /// Base of the kShedding retry-after hint: the hint is this value
-  /// times the number of runs currently waiting in shard queues (at
+  /// times the number of runs currently waiting in the run queue (at
   /// least 1) — a crude but monotone estimate of backlog drain time.
   double shed_retry_hint_ms = 25.0;
   /// Ceiling on one submission's total session steps (the resolved
@@ -200,7 +197,7 @@ struct ServiceOptions {
   OperatorOptions operator_options;
 };
 
-/// Cache/placement key for a submission: canonicalized join graph
+/// Cache and coalescing key for a submission: canonicalized join graph
 /// (aliases and the query name dropped, join endpoints orientation-
 /// normalized — but join *sequence* preserved, since predicate indices
 /// feed the interesting-order tags and renumbering them could change the
@@ -210,22 +207,22 @@ struct ServiceOptions {
 /// in-flight coalescing refresh-safe: submissions from different
 /// catalog generations can never match, so a frontier computed on dead
 /// cardinalities is unreachable after RefreshCatalog(). The same key
-/// drives shard placement and in-flight coalescing, so duplicates land
-/// on the same shard and attach to the same leader.
+/// drives in-flight coalescing, so duplicates attach to the same
+/// leader.
 std::string CanonicalQueryKey(const Query& query, const MetricSchema& schema,
                               const SubmitRequest& request,
                               uint64_t catalog_version);
 
-/// The sharded multi-query serving layer; see the file comment for the
-/// full design (shards, stealing, coalescing, caching).
+/// The multi-query serving layer; see the file comment for the full
+/// design (scheduler threads, coalescing, caching).
 class OptimizerService {
  public:
-  /// Starts the shard threads, pinning `catalog`'s current snapshot for
+  /// Starts the scheduler threads, pinning `catalog`'s current snapshot for
   /// admissions. `catalog` must outlive the service; it may be mutated
   /// while the service runs (Catalog is thread-safe), but mutations
   /// become visible to new submissions only through RefreshCatalog().
   OptimizerService(const Catalog& catalog, ServiceOptions options);
-  /// Cancels all unfinished queries, joins the shard threads, and blocks
+  /// Cancels all unfinished queries, joins the scheduler threads, and blocks
   /// until every Wait() call already in progress has returned. (As with
   /// any object, *starting* a new call concurrently with destruction is
   /// still a caller error.)
@@ -321,9 +318,9 @@ class OptimizerService {
 
   /// Snapshot of the monotonic service counters.
   ServiceStats stats() const;
-  /// Number of scheduler shards (ServiceOptions::num_shards).
+  /// Number of scheduler threads (ServiceOptions::num_shards).
   int shards() const { return options_.num_shards; }
-  /// The cross-query fragment store shared by all shards, or nullptr
+  /// The cross-query fragment store shared by all threads, or nullptr
   /// when disabled (ServiceOptions::fragment_cache_bytes == 0). Thread-
   /// safe; exposed for diagnostics and for epoch bumps on catalog
   /// refresh (FragmentStore::BumpEpoch).
@@ -365,13 +362,7 @@ class OptimizerService {
     std::shared_ptr<const FrontierSnapshot> frontier;
   };
 
-  void SchedulerLoop(size_t shard);
-  // True when any shard queue holds a run. Requires mu_ held.
-  bool AnyQueuedLocked() const;
-  // Pops the next run for `shard`: its own queue's front, else a steal
-  // from the back of the largest other queue. Requires mu_ held and
-  // AnyQueuedLocked().
-  uint64_t PopRunLocked(size_t shard);
+  void SchedulerLoop();
   // Builds the run's factory + IamaSession (first stepping turn).
   void BuildRun(RunState* run);
   // Stores a terminal result, evicting the oldest beyond
@@ -407,12 +398,12 @@ class OptimizerService {
   // RefreshCatalog. Runs keep their own reference, so replacing it
   // never invalidates an in-flight session.
   std::shared_ptr<const CatalogSnapshot> catalog_snapshot_;
-  // One cross-query fragment store for all shards (internally sharded;
+  // One cross-query fragment store for all threads (internally sharded;
   // thread-safe); null when fragment_cache_bytes == 0.
   std::unique_ptr<FragmentStore> fragment_store_;
 
   mutable std::mutex mu_;
-  std::condition_variable work_cv_;  // Shards sleep when no queue has work.
+  std::condition_variable work_cv_;  // Threads sleep while queue_ is empty.
   std::condition_variable done_cv_;  // Wait() blocks here.
   std::condition_variable waiters_cv_;  // Destructor drains Wait() calls.
   bool stop_ = false;
@@ -438,7 +429,9 @@ class OptimizerService {
   // Canonical key -> run id of the non-diverged in-flight run new
   // duplicates attach to.
   std::unordered_map<std::string, uint64_t> inflight_;
-  std::vector<std::deque<uint64_t>> shard_queues_;  // Round-robin per shard.
+  // Run ids in turn order, served by every scheduler thread; a run
+  // being stepped is not in it.
+  std::deque<uint64_t> queue_;
   std::unordered_map<QueryId, StoredResult> results_;
   std::deque<QueryId> results_order_;  // Finish order, for retention.
   ServiceStats stats_;

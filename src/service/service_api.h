@@ -209,7 +209,10 @@ struct ServiceStats {
   uint64_t cache_hits = 0;      ///< Submits served by the frontier cache.
   uint64_t coalesced = 0;       ///< Submits attached to an in-flight run.
   uint64_t steps_executed = 0;  ///< Optimizer steps across all runs.
-  uint64_t work_steals = 0;     ///< Runs a shard stole from another queue.
+  /// Always 0: the scheduler threads share one run queue, so there is
+  /// nothing to steal. Kept while perfbench's `service.work_steals`
+  /// metric still reads it.
+  uint64_t work_steals = 0;
   /// Effective RefreshCatalog() calls (ones that observed a new catalog
   /// version and invalidated; no-op refreshes are not counted).
   uint64_t catalog_refreshes = 0;

@@ -23,9 +23,9 @@ std::string StrJoin(const std::vector<std::string>& parts,
 void AppendHexDouble(std::string* out, double v);
 
 // FNV-1a over the bytes of `s`. Stable across platforms and standard-
-// library versions, unlike std::hash<std::string> — scheduler-shard
-// placement and fragment-store lock-shard placement both key on it, and
-// documented placement behavior should not shift between toolchains.
+// library versions, unlike std::hash<std::string> — fragment-store
+// lock-shard placement and the frontier digests key on it, and neither
+// should shift between toolchains.
 uint64_t Fnv1a64(const std::string& s);
 
 }  // namespace moqo

@@ -1,6 +1,6 @@
-// OptimizerService tests: concurrent sessions across scheduler shards
+// OptimizerService tests: concurrent sessions across scheduler threads
 // must produce frontiers bit-identical to per-query sequential runs for
-// every shard count; the LRU frontier cache must serve repeated queries
+// every thread count; the LRU frontier cache must serve repeated queries
 // without re-optimization; duplicate in-flight submissions must coalesce
 // onto the running leader (no second optimization — asserted on step
 // counters) with correct follower cancel/expiry/handoff semantics;
@@ -17,7 +17,6 @@
 #include <condition_variable>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -30,7 +29,6 @@
 #include "service/optimizer_service.h"
 #include "test_helpers.h"
 #include "util/rng.h"
-#include "util/str.h"
 
 namespace moqo {
 namespace {
@@ -94,8 +92,8 @@ Workload MakeWorkload(int num_random, int random_tables = 4) {
 // Admits a mixed workload from several client threads at once onto a
 // service with `shards` scheduler threads and asserts every frontier is
 // bit-identical to running the query alone, single-threaded — the
-// acceptance bar for the sharded scheduler (placement and stealing must
-// not affect any session's step sequence).
+// acceptance bar for the scheduler (which thread steps a run, and when,
+// must not affect any session's step sequence).
 void ExpectShardedServiceMatchesSequential(int shards) {
   const Workload w = MakeWorkload(/*num_random=*/4);
   ServiceOptions service_opts = SmallServiceOptions();
@@ -415,12 +413,13 @@ TEST(OptimizerServiceTest, StressManyConcurrentClients) {
             static_cast<uint64_t>(kClients * (kPerClient - 3)));
 }
 
-// Parks the (single) shard thread inside a blocker query's observer so a
-// test can deterministically submit, cancel, or re-bound queries while
-// they are guaranteed to be in flight: the blocker's first snapshot
-// blocks until Release(), during which every later submission sits
-// queued behind it. Only the first snapshot blocks — after Release() the
-// blocker steps normally (tests cancel it to finish).
+// Parks a scheduler thread inside a blocker query's observer so a test
+// can deterministically submit, cancel, or re-bound queries while they
+// are guaranteed to be in flight: the blocker's first snapshot blocks
+// until Release(), during which (with one thread) every later
+// submission sits queued behind it. Only the first snapshot blocks —
+// after Release() the blocker steps normally (tests cancel it to
+// finish).
 class SchedulerGate {
  public:
   SnapshotObserver Observer() {
@@ -433,7 +432,7 @@ class SchedulerGate {
       cv_.wait(lock, [this] { return released_; });
     };
   }
-  // Blocks until the shard thread is parked inside the observer.
+  // Blocks until a scheduler thread is parked inside the observer.
   void AwaitEntered() {
     std::unique_lock<std::mutex> lock(mu_);
     cv_.wait(lock, [this] { return entered_; });
@@ -452,14 +451,16 @@ class SchedulerGate {
   bool released_ = false;
 };
 
-// Holds a gated service with one shard plus the ids/options shared by the
-// coalescing tests: a parked blocker, a leader, and (on demand) coalesced
-// duplicates of the leader's query.
+// Holds a gated service (one scheduler thread unless `options` says
+// otherwise) plus the ids/options shared by the coalescing tests: a
+// parked blocker running `w.queries.back()`, a leader, and (on demand)
+// coalesced duplicates of the leader's query.
 struct CoalescingRig {
-  explicit CoalescingRig(const Workload& w)
+  explicit CoalescingRig(const Workload& w,
+                         ServiceOptions options = SmallServiceOptions())
       : submit(SmallSubmitRequest()),
         iterations(submit.iama.schedule.NumLevels()),
-        service(w.catalog, SmallServiceOptions()) {
+        service(w.catalog, std::move(options)) {
     SubmitRequest blocker_submit = SmallSubmitRequest();
     blocker_submit.max_iterations = 1000000;  // Runs until cancelled.
     blocker = SubmitQuery(service, w.queries.back(), blocker_submit,
@@ -813,63 +814,41 @@ TEST(OptimizerServiceApplyBoundsTest, FollowerBoundsApplyToSharedRun) {
             FrontierSignature(reference.plans));
 }
 
-TEST(OptimizerServiceShardingTest, IdleShardsStealQueuedRuns) {
-  // Distinct queries whose canonical keys all hash to home shard 0: the
-  // other three shards can only make progress by stealing — and every
-  // stolen run must still produce its own sequential frontier.
-  const int kShards = 4;
+TEST(OptimizerServiceShardingTest, QueuedRunsNeverWaitBehindABusyThread) {
+  // One of two scheduler threads is parked inside the blocker's
+  // observer: every queued run must still be served — to its own
+  // sequential frontier — by the other thread, while the blocker holds.
   const int kRuns = 16;
-  Catalog catalog = MakeTpchCatalog();
-  const SubmitRequest submit = SmallSubmitRequest();
-  // Keys embed the catalog version, which every generated table
-  // advances: draw all candidates first, then keep those homed on 0.
-  std::vector<Query> candidates;
-  Rng rng(7);
-  for (int i = 0; i < 8 * kRuns; ++i) {
-    GeneratorOptions gen;
-    gen.num_tables = 4;
-    gen.topology = i % 2 == 0 ? Topology::kChain : Topology::kStar;
-    Query q = RandomQuery(rng, gen, &catalog);
-    q.name = "steal" + std::to_string(i);
-    candidates.push_back(std::move(q));
-  }
-  std::vector<Query> homed;
-  std::set<std::string> keys;
-  for (Query& q : candidates) {
-    const std::string key = CanonicalQueryKey(
-        q, SmallServiceOptions().schema, submit, catalog.version());
-    if (static_cast<int>(homed.size()) < kRuns &&
-        Fnv1a64(key) % kShards == 0 && keys.insert(key).second) {
-      homed.push_back(std::move(q));
-    }
-  }
-  ASSERT_EQ(static_cast<int>(homed.size()), kRuns);
+  // The last kRuns + 1 queries are distinct random 4-table chains and
+  // stars; the very last one is the blocker.
+  const Workload w = MakeWorkload(/*num_random=*/kRuns + 1);
   ServiceOptions opts = SmallServiceOptions();
-  opts.num_shards = kShards;
+  opts.num_shards = 2;
   opts.frontier_cache_capacity = 0;
-  OptimizerService service(catalog, opts);
-  ASSERT_EQ(service.catalog_version(), catalog.version());
-  const int iterations = submit.iama.schedule.NumLevels();
+  CoalescingRig rig(w, opts);
+  ASSERT_EQ(rig.service.shards(), 2);
 
+  const std::vector<Query> queries(w.queries.end() - kRuns - 1,
+                                   w.queries.end() - 1);
   std::vector<QueryId> ids;
-  for (const Query& q : homed) {
-    ids.push_back(SubmitQuery(service, q, submit).value());
+  for (const Query& q : queries) {
+    ids.push_back(SubmitQuery(rig.service, q, rig.submit).value());
   }
   for (size_t i = 0; i < ids.size(); ++i) {
-    const QueryResult r = service.Wait(ids[i]);
+    const QueryResult r = rig.service.Wait(ids[i]);
     EXPECT_EQ(r.state, QueryState::kDone);
     EXPECT_FALSE(r.coalesced);
     const FrontierSnapshot reference = SequentialFinalSnapshot(
-        homed[i], catalog, SmallServiceOptions(), submit.iama, iterations);
+        queries[i], w.catalog, opts, rig.submit.iama, rig.iterations);
     ASSERT_EQ(FrontierSignature(r.frontier.plans),
               FrontierSignature(reference.plans))
-        << homed[i].name;
+        << queries[i].name;
   }
-  const ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.coalesced, 0u);
-  EXPECT_EQ(stats.steps_executed,
-            static_cast<uint64_t>(kRuns) * static_cast<uint64_t>(iterations));
-  EXPECT_GE(stats.work_steals, 1u);
+  EXPECT_EQ(rig.service.stats().coalesced, 0u);
+
+  const int blocker_steps = rig.ReleaseAndFinishBlocker();
+  EXPECT_EQ(rig.service.stats().steps_executed,
+            static_cast<uint64_t>(blocker_steps + kRuns * rig.iterations));
 }
 
 // --- Catalog refresh ---------------------------------------------------------
